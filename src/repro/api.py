@@ -201,7 +201,6 @@ class Session:
             records, batch is much faster on repetitive grids).
         include_cost: Add ``cost_usd`` to sweep records and cost reports to
             explore points.
-        memoize: Memoise the scalar backend's hot kernels.
         mp_context: Multiprocessing start method for worker pools.
         result_cache: Optional sweep result cache (an object with
             ``get(key) -> records | None`` and ``put(key, records)``, e.g.
@@ -223,7 +222,9 @@ class Session:
             :class:`~repro.resilience.ResiliencePolicy` — contain
             per-scenario failures as structured error records (or retry
             them), supervise worker pools, and bound hung scenarios.
-            ``None`` keeps the historical fail-fast behaviour.
+            ``None`` is fail-fast: the first failing scenario raises, and
+            a dead worker raises
+            :class:`~repro.resilience.WorkerLostError`.
         chaos: Optional :class:`~repro.resilience.ChaosPlan` injecting
             deterministic faults (tests only).
 
@@ -239,7 +240,6 @@ class Session:
         jobs: int = 1,
         backend: str = "scalar",
         include_cost: bool = True,
-        memoize: bool = True,
         mp_context: Optional[str] = None,
         result_cache: Optional[Any] = None,
         batch_estimator: Optional[Any] = None,
@@ -257,7 +257,6 @@ class Session:
         # The engine constructor validates jobs/backend/mp_context eagerly.
         self.engine = SweepEngine(
             jobs=jobs,
-            memoize=memoize,
             config=self.config,
             backend=backend,
             include_cost=include_cost,

@@ -239,9 +239,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=None, help="Scenarios per worker shard (default: auto)"
-    )
-    parser.add_argument(
         "--compile-cache",
         metavar="DIR",
         default=None,
@@ -292,13 +289,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "What a scenario failure (after retries) does: 'record' stores "
             "a structured error row and continues, 'raise' aborts the sweep "
             "(default: record, when any resilience flag is given; without "
-            "them failures abort as before)"
+            "them the first failure aborts the sweep)"
         ),
-    )
-    parser.add_argument(
-        "--no-memoize",
-        action="store_true",
-        help="Disable the manufacturing/design kernel caches",
     )
     parser.add_argument(
         "--no-cost",
@@ -509,8 +501,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
 
     engine = SweepEngine(
         jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        memoize=not args.no_memoize,
         backend=args.backend,
         include_cost=not args.no_cost,
         compile_cache=compile_cache,

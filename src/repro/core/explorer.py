@@ -386,7 +386,6 @@ class DesignSpaceExplorer:
         self,
         systems: Sequence[ChipletSystem],
         jobs: int = 1,
-        chunk_size: Optional[int] = None,
     ) -> List[DesignPoint]:
         """Evaluate many candidate systems, optionally across processes.
 
@@ -404,7 +403,6 @@ class DesignSpaceExplorer:
             table=self.estimator.table,
             include_cost=self.cost_model is not None,
             jobs=jobs,
-            chunk_size=chunk_size,
         )
 
     def explore(

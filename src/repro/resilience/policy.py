@@ -127,8 +127,8 @@ class ResiliencePolicy:
         retry: Per-scenario retry/backoff policy.
         on_error: ``"record"`` captures a raising scenario as a structured
             error record in the result store and continues; ``"raise"``
-            propagates the exception (the legacy abort-the-sweep mode,
-            after retries are exhausted).
+            propagates the exception (aborting the sweep, after retries
+            are exhausted).
         scenario_timeout_s: Soft per-scenario deadline.  Enforced by the
             parallel watchdog (``jobs > 1``): a scenario *group* whose
             wall-clock exceeds ``timeout x group size + grace`` has its

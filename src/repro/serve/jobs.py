@@ -151,7 +151,7 @@ class JobManager:
             under.  Defaults to containment (``on_error="record"``, no
             retries): a scenario that raises becomes one error record and
             the job finishes ``partial`` instead of ``failed``.  Pass
-            ``False`` for the historical fail-fast behaviour.
+            ``False`` for fail-fast sweeps (the engine's ``FAIL_FAST``).
         chaos: Optional :class:`~repro.resilience.ChaosPlan` injected into
             every job's sweep (chaos tests only).
         breaker: Per-packaging-type :class:`CircuitBreaker`.  ``None``

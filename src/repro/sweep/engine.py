@@ -1,29 +1,41 @@
 """Sharded, process-parallel evaluation of sweep scenarios.
 
-The engine turns an expanded scenario list into flattened result records:
+The engine turns an expanded scenario list into flattened result records
+through one evaluation loop, whatever the backend or ``jobs`` value:
 
-* ``jobs=1`` evaluates serially in-process (deterministic, no pickling);
-* ``jobs>1`` shards the scenarios into chunks and fans them out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  ``executor.map``
-  preserves chunk order, so the record stream — and therefore every total —
-  is bit-identical to the serial path.
+* the scenarios are cut into ``(positions, scenarios)`` groups: template
+  groups (:func:`repro.fastpath.group_scenarios`) on the batch backend,
+  contiguous slices on the scalar backend;
+* each group is evaluated in one attempt (the compiled template's
+  ``evaluate_group`` on the batch backend, the full :class:`EcoChip`
+  pipeline per scenario on the scalar backend).  When the attempt raises,
+  or a chaos plan is mounted, the group is replayed scenario by scenario
+  through :func:`repro.resilience.records.evaluate_contained`, so the
+  failure is isolated, retried and recorded (or raised) as the resilience
+  policy says;
+* ``jobs=1`` runs that loop in-process; ``jobs>1`` ships chunks of groups
+  to a supervised worker pool and streams every chunk back, in order, as
+  soon as it and the chunks before it are done.
 
-Each evaluator process memoises the two hot kernels of the estimation
+Records come out in scenario order and are bit-identical across both
+backends and every ``jobs`` value.
+
+Each scalar evaluator memoises the two hot kernels of the estimation
 pipeline: the per-die manufacturing CFP (keyed on area, node and design
 type) and the per-chiplet design CFP (keyed on transistors, node,
 iterations, volume and reuse).  Across a scenario grid most sub-evaluations
-repeat — e.g. the analog chiplet's manufacturing CFP is identical in every
-scenario that keeps it at 14 nm — so the cache collapses the grid's cost
+repeat, e.g. the analog chiplet's manufacturing CFP is identical in every
+scenario that keeps it at 14 nm, so the cache collapses the grid's cost
 from ``scenarios x chiplets`` kernel runs to the number of *distinct*
 kernel inputs.
 
 Out-of-tree packaging architectures *and* sweep axes work at any ``jobs``
-value: every pool initializer receives the shared plugin-module snapshot
+value: the pool initializer receives the shared plugin-module snapshot
 (:func:`repro.packaging.registry.plugin_modules`, which also records
 :func:`repro.axes.register_axis` modules) and re-imports it in the worker
 (:func:`repro.packaging.registry.import_plugin_modules`), so scenario
 packaging dicts and axis overrides referencing plugins resolve in worker
-processes under any multiprocessing start method — including ``spawn``,
+processes under any multiprocessing start method, including ``spawn``,
 where workers do not inherit the parent's registry state.
 
 Scenario axis overrides (:mod:`repro.axes`) are applied per scenario:
@@ -260,12 +272,10 @@ class _ScenarioEvaluator:
     def __init__(
         self,
         default_config: Optional[EstimatorConfig],
-        memoize: bool,
         include_cost: bool = False,
         table: Optional[TechnologyTable] = None,
     ):
         self.default_config = default_config if default_config is not None else EstimatorConfig()
-        self.memoize = memoize
         self.include_cost = include_cost
         self.table = table
         self.stats = KernelCacheStats()
@@ -297,21 +307,18 @@ class _ScenarioEvaluator:
         if estimator is None:
             config = derive_scenario_config(self.default_config, fab_source, overrides)
             estimator = EcoChip(config=config, table=self.table)
-            if self.memoize:
-                install_kernel_cache(estimator, self.stats)
+            install_kernel_cache(estimator, self.stats)
             self._estimators[key] = estimator
         return estimator
 
     def _cost_usd(self, scenario: Scenario, system: ChipletSystem) -> float:
-        """Dollar cost of the scenario's system (memoised when enabled)."""
+        """Dollar cost of the scenario's system (memoised)."""
         if self._cost_model is None:
             from repro.cost.model import ChipletCostModel
 
             # Same table as the batch backend's cost terms, so cost_usd
             # stays bit-identical across backends under custom tables.
             self._cost_model = ChipletCostModel(table=self.table)
-        if not self.memoize:
-            return self._cost_model.estimate(system).total_cost_usd
         # Config-target axes never reach the cost model, so only the
         # system-target subset keys the cache (matches the batch compiler's
         # system-override-aware cost base key).
@@ -342,121 +349,120 @@ class _ScenarioEvaluator:
         return make_record(scenario, system, report, fab_source, cost_usd=cost_usd)
 
 
-#: Worker-process evaluator, created once per worker by the pool initializer.
-_EVALUATOR: Optional[_ScenarioEvaluator] = None
+#: One evaluation group: scenario positions (indices into the run's scenario
+#: list) and the scenarios at those positions.
+Group = Tuple[List[int], List[Scenario]]
 
-#: Worker-process resilience policy / chaos plan (supervised pools only).
-_POLICY: Optional[ResiliencePolicy] = None
-_CHAOS: Optional[Any] = None
+#: What a chunk of groups evaluates to: ``(position, record)`` pairs plus
+#: the per-scenario retry attempts spent on them.
+ChunkResult = Tuple[List[Tuple[int, Record]], int]
 
-
-def _init_worker(
-    default_config: Optional[EstimatorConfig],
-    memoize: bool,
-    include_cost: bool = False,
-    plugins: PluginModules = (),
-    table: Optional[TechnologyTable] = None,
-    policy: Optional[ResiliencePolicy] = None,
-    chaos: Optional[Any] = None,
-) -> None:
-    global _EVALUATOR, _POLICY, _CHAOS
-    import_plugin_modules(plugins)
-    _EVALUATOR = _ScenarioEvaluator(default_config, memoize, include_cost, table)
-    _POLICY = policy
-    _CHAOS = chaos
+#: The policy of engines built without one: the first failing scenario
+#: raises its own exception, and a lost worker pool is not respawned.
+FAIL_FAST = ResiliencePolicy(on_error="raise", max_pool_respawns=0)
 
 
-def _evaluate_chunk(scenarios: Sequence[Scenario]) -> List[Record]:
-    assert _EVALUATOR is not None, "worker initializer did not run"
-    return [_EVALUATOR.evaluate(scenario) for scenario in scenarios]
+class _GroupEvaluator:
+    """Per-process evaluation context of either backend.
 
-
-def _evaluate_chunk_contained(
-    scenarios: Sequence[Scenario],
-) -> Tuple[List[Record], int]:
-    """Contained chunk evaluation: ``(records, retries)`` per chunk."""
-    assert _EVALUATOR is not None, "worker initializer did not run"
-    assert _POLICY is not None, "supervised pool without a resilience policy"
-    records: List[Record] = []
-    retries = 0
-    for scenario in scenarios:
-        record, attempts_over = evaluate_contained(
-            _EVALUATOR.evaluate, scenario, _POLICY, chaos=_CHAOS, in_worker=True
-        )
-        retries += attempts_over
-        records.append(record)
-    return records, retries
-
-
-#: Worker-process batch estimator (backend="batch"), one per worker.
-_BATCH_EVALUATOR: Optional[Any] = None
-
-
-def _init_batch_worker(
-    default_config: Optional[EstimatorConfig],
-    include_cost: bool,
-    plugins: PluginModules = (),
-    table: Optional[TechnologyTable] = None,
-    policy: Optional[ResiliencePolicy] = None,
-    chaos: Optional[Any] = None,
-    compile_cache: Optional[Any] = None,
-) -> None:
-    global _BATCH_EVALUATOR, _POLICY, _CHAOS
-    from repro.fastpath import BatchEstimator
-
-    import_plugin_modules(plugins)
-    # ``compile_cache`` mounts the persistent on-disk template cache in
-    # every worker: the first worker to compile a template persists it for
-    # its siblings (and for every later run against the same directory).
-    _BATCH_EVALUATOR = BatchEstimator(
-        config=default_config,
-        table=table,
-        include_cost=include_cost,
-        persistent_cache=compile_cache,
-    )
-    _POLICY = policy
-    _CHAOS = chaos
-
-
-def _evaluate_batch_chunk(
-    groups: Sequence[Tuple[Sequence[int], Sequence[Scenario]]],
-) -> List[Tuple[int, Record]]:
-    """Evaluate template groups, returning (position, record) pairs.
-
-    Each worker keeps its :class:`repro.fastpath.BatchEstimator` (and its
-    compiled-template caches) alive across chunks, so templates shared by
-    chunks mapped to the same worker compile once.
+    ``attempt`` evaluates a whole group in one go; ``evaluate`` evaluates
+    one scenario, the seam :func:`evaluate_contained` replays a group
+    through.  Both produce bit-identical records.
     """
-    assert _BATCH_EVALUATOR is not None, "worker initializer did not run"
-    results: List[Tuple[int, Record]] = []
-    for positions, scenarios in groups:
-        template = _BATCH_EVALUATOR.compile_for(scenarios[0])
-        records = _BATCH_EVALUATOR.evaluate_group(template, scenarios)
-        results.extend(zip(positions, records))
-    return results
+
+    def __init__(
+        self,
+        backend: str,
+        config: Optional[EstimatorConfig],
+        include_cost: bool,
+        table: Optional[TechnologyTable],
+        policy: ResiliencePolicy,
+        chaos: Optional[Any] = None,
+        compile_cache: Optional[Any] = None,
+        batch_estimator: Optional[Any] = None,
+        in_worker: bool = False,
+    ):
+        self.policy = policy
+        self.chaos = chaos
+        self.in_worker = in_worker
+        self.scalar: Optional[_ScenarioEvaluator] = None
+        self.batch = batch_estimator
+        if backend == "scalar":
+            self.scalar = _ScenarioEvaluator(config, include_cost, table)
+        elif self.batch is None:
+            from repro.fastpath import BatchEstimator
+
+            # ``compile_cache`` mounts the persistent on-disk template
+            # cache: the first worker to compile a template persists it
+            # for its siblings (and for every later run against the same
+            # directory).
+            self.batch = BatchEstimator(
+                config=config,
+                table=table,
+                include_cost=include_cost,
+                persistent_cache=compile_cache,
+            )
+
+    def attempt(self, scenarios: Sequence[Scenario]) -> List[Record]:
+        """Records of one group, evaluated in one go."""
+        if self.scalar is not None:
+            return [self.scalar.evaluate(scenario) for scenario in scenarios]
+        template = self.batch.compile_for(scenarios[0])
+        return self.batch.evaluate_group(template, scenarios)
+
+    def evaluate(self, scenario: Scenario) -> Record:
+        """The record of one scenario."""
+        if self.scalar is not None:
+            return self.scalar.evaluate(scenario)
+        return self.batch.evaluate_scenario(scenario)
 
 
-def _evaluate_batch_chunk_contained(
-    groups: Sequence[Tuple[Sequence[int], Sequence[Scenario]]],
-) -> Tuple[List[Tuple[int, Record]], int]:
-    """Contained batch chunk: per-scenario evaluation through the compiled
-    template cache, so one raising scenario costs its group nothing."""
-    assert _BATCH_EVALUATOR is not None, "worker initializer did not run"
-    assert _POLICY is not None, "supervised pool without a resilience policy"
-    results: List[Tuple[int, Record]] = []
+#: Worker-process evaluation context, built once per worker by the pool
+#: initializer.
+_WORKER: Optional[_GroupEvaluator] = None
+
+
+def _init_worker(plugins: PluginModules, *args: Any) -> None:
+    """Pool initializer: import the plugins, build the worker's evaluator."""
+    global _WORKER
+    import_plugin_modules(plugins)
+    _WORKER = _GroupEvaluator(*args, in_worker=True)
+
+
+def _evaluate_groups(
+    groups: Sequence[Group], evaluator: Optional[_GroupEvaluator] = None
+) -> ChunkResult:
+    """Evaluate a chunk of groups, in ``evaluator`` or the worker's context.
+
+    One attempt per group; when it raises, or a chaos plan is mounted, the
+    group is replayed scenario by scenario under the policy, so error
+    records, attempts and retries are those of per-scenario containment.
+    """
+    evaluator = evaluator if evaluator is not None else _WORKER
+    assert evaluator is not None, "worker initializer did not run"
+    pairs: List[Tuple[int, Record]] = []
     retries = 0
     for positions, scenarios in groups:
-        for position, scenario in zip(positions, scenarios):
-            record, attempts_over = evaluate_contained(
-                _BATCH_EVALUATOR.evaluate_scenario,
-                scenario,
-                _POLICY,
-                chaos=_CHAOS,
-                in_worker=True,
-            )
-            retries += attempts_over
-            results.append((position, record))
-    return results, retries
+        records: Optional[List[Record]] = None
+        if evaluator.chaos is None:
+            try:
+                records = evaluator.attempt(scenarios)
+            except Exception:  # noqa: BLE001 - replayed per scenario below
+                records = None
+        if records is None:
+            records = []
+            for scenario in scenarios:
+                record, attempts_over = evaluate_contained(
+                    evaluator.evaluate,
+                    scenario,
+                    evaluator.policy,
+                    chaos=evaluator.chaos,
+                    in_worker=evaluator.in_worker,
+                )
+                retries += attempts_over
+                records.append(record)
+        pairs.extend(zip(positions, records))
+    return pairs, retries
 
 
 def shard(items: Sequence[Any], chunk_size: int) -> List[List[Any]]:
@@ -555,21 +561,24 @@ BACKENDS = ("scalar", "batch")
 class SweepEngine:
     """Evaluates sweep scenarios, serially or across worker processes.
 
+    Every run goes through one contained evaluation loop (see the module
+    docstring): one attempt per scenario group, replayed per scenario only
+    when the attempt raises or a chaos plan is mounted.
+
     Args:
-        jobs: Worker processes; ``1`` runs serially in-process.
-        chunk_size: Scenarios per shard (scalar backend); defaults to an
-            even split across ``8 x jobs`` chunks (capped at 256) so workers
-            stay busy without excessive pickling round-trips.
-        memoize: Memoise the manufacturing/design kernels (and the dollar
-            cost) in each process.  Scalar backend only; the batch backend
-            always reuses its compiled templates.
+        jobs: Worker processes; ``1`` runs serially in-process.  Scenario
+            shards are sized automatically: about ``8 x jobs`` slices of at
+            most 256 scenarios on the scalar backend, about ``4 x jobs``
+            chunks of whole template groups on the batch backend.
         config: Estimator configuration shared by all scenarios (scenario
             ``fab_source`` overrides the energy sources per scenario).
         backend: ``"scalar"`` (default) evaluates every scenario through the
-            full :class:`EcoChip` pipeline; ``"batch"`` groups scenarios by
-            compiled template (:mod:`repro.fastpath`) and evaluates each
-            group as flat arithmetic — bit-identical records, an order of
-            magnitude faster on repetitive grids.
+            full :class:`EcoChip` pipeline (with memoised kernels); it is
+            the reference the batch backend is checked against.
+            ``"batch"`` groups scenarios by compiled template
+            (:mod:`repro.fastpath`) and evaluates each group as flat
+            arithmetic: bit-identical records, an order of magnitude
+            faster on repetitive grids.
         include_cost: Add ``cost_usd`` (the Chiplet-Actuary-style dollar
             cost) to every record.
         mp_context: Multiprocessing start method for worker pools
@@ -595,24 +604,25 @@ class SweepEngine:
             Mutually exclusive with ``batch_estimator`` — mount the cache
             on the shared estimator itself instead.
         resilience: Optional :class:`repro.resilience.ResiliencePolicy`.
-            When given, a raising scenario is retried per the policy and
-            then (``on_error="record"``) captured as a structured error
-            record instead of aborting the sweep, and parallel runs are
-            supervised: hung/dead worker pools are detected, their
-            in-flight chunks requeued and the pool respawned (bounded by
-            the policy's respawn budget).  ``None`` keeps the legacy
-            fail-fast behaviour (and the legacy fast paths) exactly.
+            A raising scenario is retried per the policy and then
+            (``on_error="record"``) captured as a structured error record
+            instead of aborting the sweep; hung or dead worker pools are
+            detected, their unfinished chunks requeued and the pool
+            respawned (bounded by the policy's respawn budget).  ``None``
+            means :data:`FAIL_FAST`: the first failing scenario raises its
+            own exception, and a worker death on a parallel run raises
+            :class:`~repro.resilience.WorkerLostError` once the records of
+            every chunk finished before it have been yielded.
         chaos: Optional :class:`repro.resilience.ChaosPlan` injecting
             deterministic faults before scenario evaluations (test
-            harness).  Parallel runs require the plan to carry a
-            ``state_dir`` so fault accounting survives worker death.
+            harness).  Parallel runs require a resilience policy and a
+            plan with a ``state_dir``, so fault accounting survives
+            worker death.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        chunk_size: Optional[int] = None,
-        memoize: bool = True,
         config: Optional[EstimatorConfig] = None,
         backend: str = "scalar",
         include_cost: bool = True,
@@ -625,8 +635,6 @@ class SweepEngine:
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; known backends: {list(BACKENDS)}"
@@ -662,8 +670,8 @@ class SweepEngine:
             if resilience is None:
                 raise ValueError(
                     "chaos injection on parallel sweeps (jobs > 1) requires a "
-                    "resilience policy: faults are fired by the supervised "
-                    "containment path"
+                    "resilience policy: injected worker deaths must be "
+                    "survivable"
                 )
             if getattr(chaos, "state_dir", None) is None:
                 raise ValueError(
@@ -671,8 +679,6 @@ class SweepEngine:
                     "(jobs > 1): fault accounting must survive worker death"
                 )
         self.jobs = jobs
-        self.chunk_size = chunk_size
-        self.memoize = memoize
         self.config = config
         self.backend = backend
         self.include_cost = include_cost
@@ -682,99 +688,74 @@ class SweepEngine:
         self.compile_cache = compile_cache
         self.resilience = resilience
         self.chaos = chaos
-        #: Kernel-cache stats of the last serial run (None after parallel runs).
+        #: Kernel-cache stats of the last serial scalar run (else None).
         self.last_cache_stats: Optional[KernelCacheStats] = None
         #: Per-scenario retry attempts observed by the last iter_records.
         self.last_retry_count: int = 0
 
-    def _pool(
-        self, max_workers: int, initializer: Callable[..., None], initargs: Tuple
-    ) -> ProcessPoolExecutor:
-        """Worker pool with the engine's start method and plugin shipping."""
+    # -- worker supervision -----------------------------------------------------------
+    def _run_chunks(
+        self, chunks: List[List[Group]], policy: ResiliencePolicy
+    ) -> Iterator[ChunkResult]:
+        """Evaluate chunks on a supervised pool, yielding results in order.
+
+        Every chunk is submitted as its own future; a chunk's result is
+        yielded as soon as it and every earlier chunk are done, under a
+        soft deadline of ``scenario_timeout_s x chunk scenarios + grace``.
+        A deadline miss (hung worker) or a :class:`BrokenProcessPool`
+        (dead worker) kills the whole pool, harvests the chunks that *did*
+        complete, and respawns a fresh pool for the rest, at most
+        ``max_pool_respawns`` times.  After that the still-unevaluated
+        chunks become ``worker-lost`` error records or the loss is raised,
+        per ``on_error``, so a crash-looping plugin degrades the sweep
+        instead of wedging it.  No chunk is yielded twice.
+        """
         context = (
             multiprocessing.get_context(self.mp_context)
             if self.mp_context is not None
             else None
         )
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
+        initargs = (
+            plugin_modules(), self.backend, self.config, self.include_cost,
+            self.table, policy, self.chaos, self.compile_cache,
         )
-
-    # -- worker supervision -----------------------------------------------------------
-    def _run_chunks_supervised(
-        self,
-        chunks: List[Any],
-        worker_fn: Callable[[Any], Tuple[Any, int]],
-        initializer: Callable[..., None],
-        initargs: Tuple,
-        chunk_weight: Callable[[Any], int],
-        lost_payload: Callable[[Any, BaseException], Any],
-    ) -> List[Any]:
-        """Run chunks through a supervised pool; return payloads in order.
-
-        The watchdog of resilient parallel runs: every chunk is submitted
-        as its own future and collected in chunk order under a soft
-        deadline of ``scenario_timeout_s x chunk scenarios + grace``.  A
-        deadline miss (hung worker) or a :class:`BrokenProcessPool` (dead
-        worker) kills the whole pool, harvests the chunks that *did*
-        complete, and respawns a fresh pool for the rest — at most
-        ``max_pool_respawns`` times, after which the still-unevaluated
-        chunks become ``worker-lost`` error records (or the loss is
-        raised, per ``on_error``), so a crash-looping plugin degrades the
-        sweep instead of wedging it.
-
-        Chunk workers return ``(payload, retries)``; payloads land in the
-        returned list at their chunk index, retries accumulate on
-        :attr:`last_retry_count`.
-        """
-        policy = self.resilience
-        assert policy is not None
-        results: List[Any] = [None] * len(chunks)
-        outstanding = set(range(len(chunks)))
+        done: Dict[int, ChunkResult] = {}
+        next_chunk = 0
         respawns_left = policy.max_pool_respawns
-        while outstanding:
-            order = sorted(outstanding)
-            pool = self._pool(
-                max_workers=min(self.jobs, len(order)),
-                initializer=initializer,
+        while next_chunk < len(chunks):
+            todo = [i for i in range(next_chunk, len(chunks)) if i not in done]
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(todo)),
+                mp_context=context,
+                initializer=_init_worker,
                 initargs=initargs,
             )
-            futures: Dict[int, Any] = {}
+            futures = {i: pool.submit(_evaluate_groups, chunks[i]) for i in todo}
             pool_lost = False
             try:
-                try:
-                    for index in order:
-                        futures[index] = pool.submit(worker_fn, chunks[index])
-                    for index in order:
-                        timeout = None
-                        if policy.scenario_timeout_s is not None:
-                            timeout = (
-                                policy.scenario_timeout_s
-                                * max(1, chunk_weight(chunks[index]))
-                                + policy.timeout_grace_s
-                            )
-                        payload, retries = futures[index].result(timeout=timeout)
-                        results[index] = payload
-                        self.last_retry_count += retries
-                        outstanding.discard(index)
-                except (_FuturesTimeout, BrokenProcessPool, EOFError):
-                    # Hung or dead worker(s): harvest every chunk that did
-                    # complete, requeue the rest on a fresh pool.
-                    pool_lost = True
-                    for index in sorted(outstanding):
-                        future = futures.get(index)
-                        if future is None or not future.done():
-                            continue
-                        try:
-                            payload, retries = future.result(timeout=0)
-                        except Exception:  # noqa: BLE001 - broken future
-                            continue
-                        results[index] = payload
-                        self.last_retry_count += retries
-                        outstanding.discard(index)
+                for index in todo:
+                    timeout = None
+                    if policy.scenario_timeout_s is not None:
+                        weight = sum(len(positions) for positions, _ in chunks[index])
+                        timeout = (
+                            policy.scenario_timeout_s * max(1, weight)
+                            + policy.timeout_grace_s
+                        )
+                    done[index] = futures[index].result(timeout=timeout)
+                    while next_chunk in done:
+                        yield done.pop(next_chunk)
+                        next_chunk += 1
+            except (_FuturesTimeout, BrokenProcessPool, EOFError):
+                # Hung or dead worker(s): harvest every chunk that did
+                # complete, requeue the rest on a fresh pool.
+                pool_lost = True
+                for index, future in futures.items():
+                    if index < next_chunk or index in done or not future.done():
+                        continue
+                    try:
+                        done[index] = future.result(timeout=0)
+                    except Exception:  # noqa: BLE001 - broken future
+                        continue
             finally:
                 if pool_lost:
                     # Hung workers never return; terminate them so shutdown
@@ -787,20 +768,30 @@ class SweepEngine:
                     pool.shutdown(wait=False, cancel_futures=True)
                 else:
                     pool.shutdown(wait=True, cancel_futures=True)
-            if outstanding and pool_lost:
-                if respawns_left <= 0:
-                    lost = WorkerLostError(
-                        "worker pool lost and respawn budget exhausted; "
-                        "remaining scenarios were not evaluated"
-                    )
-                    if policy.on_error != "record":
-                        raise lost
-                    for index in sorted(outstanding):
-                        results[index] = lost_payload(chunks[index], lost)
-                    outstanding.clear()
-                else:
-                    respawns_left -= 1
-        return results
+            while next_chunk in done:
+                yield done.pop(next_chunk)
+                next_chunk += 1
+            if next_chunk == len(chunks):
+                break
+            if respawns_left > 0:
+                respawns_left -= 1
+                continue
+            lost = WorkerLostError(
+                "worker pool lost and respawn budget exhausted; "
+                "remaining scenarios were not evaluated"
+            )
+            if policy.on_error != "record":
+                raise lost
+            for index in range(next_chunk, len(chunks)):
+                yield done.pop(index, None) or (
+                    [
+                        (position, error_record(scenario, lost))
+                        for positions, scenarios in chunks[index]
+                        for position, scenario in zip(positions, scenarios)
+                    ],
+                    0,
+                )
+            break
 
     # -- streaming ------------------------------------------------------------------
     def _resolve_scenarios(
@@ -810,31 +801,37 @@ class SweepEngine:
             return sweep.expand()
         return list(sweep)
 
-    def _chunk_size_for(self, scenario_count: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        target_chunks = self.jobs * 8
-        return max(1, min(256, -(-scenario_count // max(1, target_chunks))))
+    def _chunks(self, scenarios: List[Scenario]) -> List[List[Group]]:
+        """The run's groups, sharded into chunks for worker processes.
 
-    def _containment_policy(self) -> Optional[ResiliencePolicy]:
-        """The effective policy when containment/chaos machinery engages.
-
-        A chaos plan without a resilience policy still routes scenarios
-        through the containment loop (so delay faults and deterministic
-        claims work) but propagates failures — the legacy abort mode.
+        Batch groups are template groups in first-occurrence order, about
+        ``4 x jobs`` chunks of whole groups, so each template compiles in
+        exactly one worker.  Scalar groups are contiguous slices of about
+        ``len / (8 x jobs)`` scenarios (at most 256), one per chunk; at
+        ``jobs=1`` they are single scenarios, so records stream one by one.
         """
-        if self.resilience is not None:
-            return self.resilience
-        if self.chaos is not None:
-            return ResiliencePolicy(on_error="raise")
-        return None
+        if self.backend == "batch":
+            from repro.fastpath import group_scenarios
+
+            groups = [
+                ([position for position, _ in members], [s for _, s in members])
+                for _, members in group_scenarios(scenarios)
+            ]
+            return shard(groups, max(1, -(-len(groups) // (self.jobs * 4))))
+        size = 1
+        if self.jobs > 1:
+            size = max(1, min(256, -(-len(scenarios) // (self.jobs * 8))))
+        return [
+            [(list(range(start, start + size)), scenarios[start : start + size])]
+            for start in range(0, len(scenarios), size)
+        ]
 
     def iter_records(self, sweep: Union[SweepSpec, Iterable[Scenario]]) -> Iterator[Record]:
         """Yield one flattened record per scenario, in scenario order.
 
         Every combination of backend and ``jobs`` runs the same per-scenario
         arithmetic, so the records (and any totals derived from them) are
-        bit-identical across all of them — including structured error
+        bit-identical across all of them, including structured error
         records under a resilience policy.
         """
         self.last_cache_stats = None
@@ -842,158 +839,33 @@ class SweepEngine:
         scenarios = self._resolve_scenarios(sweep)
         if not scenarios:
             return
-        policy = self._containment_policy()
-        if self.backend == "batch":
-            yield from self._iter_records_batch(scenarios, policy)
-            return
+        policy = self.resilience if self.resilience is not None else FAIL_FAST
+        chunks = self._chunks(scenarios)
         if self.jobs == 1:
-            evaluator = _ScenarioEvaluator(
-                self.config, self.memoize, self.include_cost, self.table
+            evaluator = _GroupEvaluator(
+                self.backend, self.config, self.include_cost, self.table,
+                policy, self.chaos, self.compile_cache, self.batch_estimator,
             )
-            self.last_cache_stats = evaluator.stats
-            if policy is None:
-                for scenario in scenarios:
-                    yield evaluator.evaluate(scenario)
-                return
-            for scenario in scenarios:
-                record, retries = evaluate_contained(
-                    evaluator.evaluate, scenario, policy, chaos=self.chaos
-                )
-                self.last_retry_count += retries
-                yield record
-            return
-        chunks = shard(scenarios, self._chunk_size_for(len(scenarios)))
-        if self.resilience is not None:
-            for chunk_records in self._run_chunks_supervised(
-                chunks,
-                worker_fn=_evaluate_chunk_contained,
-                initializer=_init_worker,
-                initargs=(
-                    self.config, self.memoize, self.include_cost,
-                    plugin_modules(), self.table, self.resilience, self.chaos,
-                ),
-                chunk_weight=len,
-                lost_payload=lambda chunk, exc: [
-                    error_record(scenario, exc) for scenario in chunk
-                ],
-            ):
-                for record in chunk_records:
-                    yield record
-            return
-        with self._pool(
-            max_workers=min(self.jobs, len(chunks)),
-            initializer=_init_worker,
-            initargs=(
-                self.config, self.memoize, self.include_cost,
-                plugin_modules(), self.table,
-            ),
-        ) as pool:
-            for chunk_records in pool.map(_evaluate_chunk, chunks):
-                for record in chunk_records:
-                    yield record
-
-    def _iter_records_batch(
-        self, scenarios: List[Scenario], policy: Optional[ResiliencePolicy] = None
-    ) -> Iterator[Record]:
-        """Batch backend: group by template, evaluate groups, emit in order.
-
-        Records are buffered only while a group completes out of input
-        order; for spec-expanded grids (template axes outermost) groups are
-        contiguous, so memory stays bounded by the largest group.
-
-        Under a containment policy each scenario evaluates individually
-        through :meth:`BatchEstimator.evaluate_scenario` (same compiled-
-        template cache, bit-identical records), so one raising scenario
-        costs its group nothing.
-        """
-        from repro.fastpath import group_scenarios
-
-        groups = group_scenarios(scenarios)
+            if evaluator.scalar is not None:
+                self.last_cache_stats = evaluator.scalar.stats
+            results: Iterable[ChunkResult] = (
+                _evaluate_groups([group], evaluator)
+                for chunk in chunks
+                for group in chunk
+            )
+        else:
+            results = self._run_chunks(chunks, policy)
+        # Records are buffered only while a group completes out of input
+        # order; spec-expanded grids (template axes outermost) keep groups
+        # contiguous, so memory stays bounded by the largest group.
         pending: Dict[int, Record] = {}
         next_position = 0
-        if self.jobs == 1:
-            from repro.fastpath import BatchEstimator
-
-            # A shared estimator (repro.serve) keeps its compiled templates
-            # across runs; otherwise each run builds a fresh one.
-            estimator = self.batch_estimator
-            if estimator is None:
-                estimator = BatchEstimator(
-                    config=self.config,
-                    table=self.table,
-                    include_cost=self.include_cost,
-                    persistent_cache=self.compile_cache,
-                )
-            for _, members in groups:
-                if policy is not None:
-                    for position, scenario in members:
-                        record, retries = evaluate_contained(
-                            estimator.evaluate_scenario,
-                            scenario,
-                            policy,
-                            chaos=self.chaos,
-                        )
-                        self.last_retry_count += retries
-                        pending[position] = record
-                else:
-                    template = estimator.compile_for(members[0][1])
-                    records = estimator.evaluate_group(
-                        template, [scenario for _, scenario in members]
-                    )
-                    for (position, _), record in zip(members, records):
-                        pending[position] = record
-                while next_position in pending:
-                    yield pending.pop(next_position)
-                    next_position += 1
-            return
-        payload = [
-            (
-                [position for position, _ in members],
-                [scenario for _, scenario in members],
-            )
-            for _, members in groups
-        ]
-        # Shard whole groups (not scenarios) so each template compiles in
-        # exactly one worker; chunks keep the first-occurrence group order.
-        chunks = shard(payload, max(1, -(-len(payload) // (self.jobs * 4))))
-        if self.resilience is not None:
-            for chunk_results in self._run_chunks_supervised(
-                chunks,
-                worker_fn=_evaluate_batch_chunk_contained,
-                initializer=_init_batch_worker,
-                initargs=(
-                    self.config, self.include_cost, plugin_modules(), self.table,
-                    self.resilience, self.chaos, self.compile_cache,
-                ),
-                chunk_weight=lambda chunk: sum(
-                    len(positions) for positions, _ in chunk
-                ),
-                lost_payload=lambda chunk, exc: [
-                    (position, error_record(scenario, exc))
-                    for positions, members in chunk
-                    for position, scenario in zip(positions, members)
-                ],
-            ):
-                for position, record in chunk_results:
-                    pending[position] = record
-                while next_position in pending:
-                    yield pending.pop(next_position)
-                    next_position += 1
-            return
-        with self._pool(
-            max_workers=min(self.jobs, len(chunks)),
-            initializer=_init_batch_worker,
-            initargs=(
-                self.config, self.include_cost, plugin_modules(), self.table,
-                None, None, self.compile_cache,
-            ),
-        ) as pool:
-            for chunk_results in pool.map(_evaluate_batch_chunk, chunks):
-                for position, record in chunk_results:
-                    pending[position] = record
-                while next_position in pending:
-                    yield pending.pop(next_position)
-                    next_position += 1
+        for pairs, retries in results:
+            self.last_retry_count += retries
+            pending.update(pairs)
+            while next_position in pending:
+                yield pending.pop(next_position)
+                next_position += 1
 
     # -- one-shot -------------------------------------------------------------------
     def run(
@@ -1099,15 +971,13 @@ class _SystemEvaluator:
         config: Optional[EstimatorConfig],
         table: Optional[TechnologyTable],
         include_cost: bool,
-        memoize: bool,
     ):
         from repro.core.explorer import DesignPoint  # deferred: explorer imports us lazily
         from repro.cost.model import ChipletCostModel
 
         self._point_cls = DesignPoint
         self.estimator = EcoChip(config=config, table=table)
-        if memoize:
-            install_kernel_cache(self.estimator)
+        install_kernel_cache(self.estimator)
         self.cost_model = (
             ChipletCostModel(table=self.estimator.table) if include_cost else None
         )
@@ -1125,12 +995,11 @@ def _init_system_worker(
     config: Optional[EstimatorConfig],
     table: Optional[TechnologyTable],
     include_cost: bool,
-    memoize: bool,
     plugins: PluginModules = (),
 ) -> None:
     global _SYSTEM_EVALUATOR
     import_plugin_modules(plugins)
-    _SYSTEM_EVALUATOR = _SystemEvaluator(config, table, include_cost, memoize)
+    _SYSTEM_EVALUATOR = _SystemEvaluator(config, table, include_cost)
 
 
 def _evaluate_system_chunk(systems: Sequence[ChipletSystem]) -> List[Any]:
@@ -1144,14 +1013,14 @@ def evaluate_systems(
     table: Optional[TechnologyTable] = None,
     include_cost: bool = False,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    memoize: bool = True,
 ) -> List[Any]:
     """Evaluate many systems into ``DesignPoint``s, optionally in parallel.
 
     This is the backend of
     :meth:`repro.core.explorer.DesignSpaceExplorer.evaluate_many`; results
-    are returned in input order for any ``jobs`` value.
+    are returned in input order for any ``jobs`` value.  Kernels are
+    memoised per process, and ``jobs>1`` shards the systems into about
+    ``8 x jobs`` chunks of at most 256.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -1159,16 +1028,14 @@ def evaluate_systems(
     if not systems:
         return []
     if jobs == 1:
-        evaluator = _SystemEvaluator(config, table, include_cost, memoize)
+        evaluator = _SystemEvaluator(config, table, include_cost)
         return [evaluator.evaluate(system) for system in systems]
-    if chunk_size is None:
-        chunk_size = max(1, min(256, -(-len(systems) // (jobs * 8))))
-    chunks = shard(systems, chunk_size)
+    chunks = shard(systems, max(1, min(256, -(-len(systems) // (jobs * 8)))))
     points: List[Any] = []
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(chunks)),
         initializer=_init_system_worker,
-        initargs=(config, table, include_cost, memoize, plugin_modules()),
+        initargs=(config, table, include_cost, plugin_modules()),
     ) as pool:
         for chunk_points in pool.map(_evaluate_system_chunk, chunks):
             points.extend(chunk_points)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -295,11 +296,13 @@ class SweepSpec:
         if self.nodes and self.node_configs:
             raise ValueError("'nodes' and 'node_configs' are mutually exclusive")
         for value in self.lifetimes:
-            if value <= 0:
-                raise ValueError(f"lifetimes must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"lifetimes must be positive and finite, got {value}")
         for value in self.system_volumes:
-            if value <= 0:
-                raise ValueError(f"system volumes must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"system volumes must be positive and finite, got {value}"
+                )
         # Per-architecture parameter axes (packaging entries with a "params"
         # key) expand into one concrete config per value combination; the
         # registry validates axis names against the spec dataclass and

@@ -141,6 +141,30 @@ class TestRespawnBudget:
         with pytest.raises(WorkerLostError):
             session.sweep(CHAOS_SPEC)
 
+    @pytest.mark.parametrize("backend", ["scalar", "batch"])
+    def test_raise_mode_streams_chunks_finished_before_the_loss(
+        self, tmp_path, backend
+    ):
+        # The last scenario kills its worker and nothing respawns: every
+        # chunk finished before the loss must already be in the store, as
+        # an in-order prefix of the fault-free run, when the error surfaces.
+        policy = ResiliencePolicy(
+            retry=RETRY_ONCE, max_pool_respawns=0, on_error="raise"
+        )
+        with pytest.raises(WorkerLostError):
+            _run(
+                tmp_path,
+                mp_context="fork",
+                faults=(Fault(scenario=CHAOS_COUNT - 1, kind="die"),),
+                policy=policy,
+                backend=backend,
+            )
+        out = tmp_path / f"out-fork-{backend}.jsonl"
+        rows = read_rows(out)
+        assert 0 < len(rows) < CHAOS_COUNT
+        assert [row["scenario"] for row in rows] == list(range(len(rows)))
+        assert baseline_bytes().startswith(out.read_bytes())
+
 
 class TestChaosGuards:
     def test_parallel_chaos_requires_resilience(self):

@@ -57,9 +57,7 @@ class TestPluginParallelSweep:
 
     def test_scalar_backend_jobs4_bit_identical(self, plugin_scenarios):
         serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
-        parallel = list(
-            SweepEngine(jobs=4, chunk_size=2).iter_records(plugin_scenarios)
-        )
+        parallel = list(SweepEngine(jobs=4).iter_records(plugin_scenarios))
         assert parallel == serial
         assert any(r["packaging"] == "organic_bridge" for r in serial)
 
@@ -98,7 +96,7 @@ class TestPluginSpawnWorkers:
     def test_scalar_backend_spawn_jobs4(self, plugin_scenarios):
         serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
         parallel = list(
-            SweepEngine(jobs=4, chunk_size=2, mp_context="spawn").iter_records(
+            SweepEngine(jobs=4, mp_context="spawn").iter_records(
                 plugin_scenarios
             )
         )

@@ -224,6 +224,19 @@ class TestServeErrors:
         assert "bogus" in payload["error"]["message"]
         status, payload, _ = request("POST", f"{base}/v1/sweeps")
         assert status == 400
+        # Non-finite axis values (sent as the NaN/Infinity JSON extension).
+        for axis, value in (
+            ("lifetimes", float("inf")),
+            ("lifetimes", float("nan")),
+            ("system_volumes", float("nan")),
+            ("defect_density_scale", float("nan")),
+        ):
+            status, payload, _ = request(
+                "POST", f"{base}/v1/sweeps", {"testcases": ["ga102-3chiplet"], axis: [value]}
+            )
+            assert status == 400
+            assert payload["error"]["code"] == "invalid-spec"
+            assert "finite" in payload["error"]["message"]
 
     def test_unknown_pareto_objective_is_400(self, server):
         _, base = server

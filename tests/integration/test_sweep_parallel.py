@@ -41,7 +41,7 @@ class TestParallelEngine:
 
         scenarios = GRID.expand()[:40]
         with JsonlResultStore(tmp_path / "out.jsonl") as store:
-            summary = SweepEngine(jobs=2, chunk_size=10).run(scenarios, store=store)
+            summary = SweepEngine(jobs=2).run(scenarios, store=store)
         assert summary.scenario_count == 40
         assert len(load_records(tmp_path / "out.jsonl")) == 40
 
@@ -117,6 +117,15 @@ class TestSweepCli:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"testcases": ["ga102-3chiplet"], "bogus": True}))
         assert main(["sweep", "--spec", str(spec_path)]) == 2
+        # Non-finite core-axis values (JSON's NaN/Infinity extension).
+        for axis, value in (
+            ("lifetimes", float("inf")),
+            ("lifetimes", float("nan")),
+            ("system_volumes", float("nan")),
+        ):
+            spec_path.write_text(json.dumps({"testcases": ["ga102-3chiplet"], axis: [value]}))
+            assert main(["sweep", "--spec", str(spec_path)]) == 2
+            assert "finite" in capsys.readouterr().err
 
     def test_unknown_output_format_fails(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -43,6 +43,13 @@ class TestSetErrors:
     def test_value_rejected_by_axis_validator(self, capsys):
         assert main(["sweep", "--preset", "ga102-quick", "--set", "duty_cycle=1.5"]) == 2
         assert "duty_cycle" in capsys.readouterr().err
+        for value in ("nan", "inf"):
+            code = main([
+                "sweep", "--preset", "ga102-quick",
+                "--set", f"defect_density_scale={value}",
+            ])
+            assert code == 2
+            assert "defect_density_scale" in capsys.readouterr().err
 
     def test_malformed_value(self, capsys):
         assert (

@@ -8,6 +8,7 @@ from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.sweep.engine import (
     KernelCacheStats,
     SweepEngine,
+    derive_scenario_config,
     install_kernel_cache,
     make_record,
     shard,
@@ -117,13 +118,6 @@ class TestKernelCacheStatsAccounting:
         estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=10.0, reused=True)
         assert (stats.design_misses, stats.design_hits) == (3, 1)
 
-    def test_engine_without_memoize_reports_zero_counters(self):
-        engine = SweepEngine(jobs=1, memoize=False)
-        summary = engine.run(QUICK)
-        assert summary.cache_stats is not None
-        assert summary.cache_stats.hits == 0
-        assert summary.cache_stats.misses == 0
-
 
 class TestSerialEngine:
     def test_run_counts_and_best(self, tmp_path):
@@ -138,9 +132,26 @@ class TestSerialEngine:
         assert store.count == summary.scenario_count
 
     def test_memoisation_does_not_change_results(self):
-        memoized = list(SweepEngine(jobs=1, memoize=True).iter_records(QUICK))
-        plain = list(SweepEngine(jobs=1, memoize=False).iter_records(QUICK))
-        assert memoized == plain
+        # The engine always memoises its kernels (and the dollar cost); every
+        # record must equal the plain, un-memoised EcoChip.estimate pipeline.
+        from repro.cost.model import ChipletCostModel
+
+        scenarios = QUICK.expand()
+        memoized = list(SweepEngine(jobs=1).iter_records(scenarios))
+        assert len(memoized) == len(scenarios)
+        for scenario, record in zip(scenarios, memoized):
+            system = scenario.build_system()
+            config = derive_scenario_config(
+                EstimatorConfig(), scenario.fab_source, scenario.overrides
+            )
+            plain = make_record(
+                scenario,
+                system,
+                EcoChip(config=config).estimate(system),
+                scenario.fab_source or config.fab_carbon_source.value,
+                cost_usd=ChipletCostModel().estimate(system).total_cost_usd,
+            )
+            assert record == plain
 
     def test_serial_cache_stats_are_reported(self):
         engine = SweepEngine(jobs=1)
@@ -205,8 +216,6 @@ class TestValidation:
     def test_invalid_jobs_and_chunk_size(self):
         with pytest.raises(ValueError):
             SweepEngine(jobs=0)
-        with pytest.raises(ValueError):
-            SweepEngine(jobs=1, chunk_size=0)
         with pytest.raises(ValueError):
             shard([1, 2, 3], 0)
 

@@ -10,6 +10,14 @@ from repro.packaging.bridge import SiliconBridgeSpec
 from repro.packaging.rdl import RDLFanoutSpec
 from repro.sweep.spec import PRESETS, Scenario, SweepSpec, parse_yamlish
 
+#: Axis values that must be rejected at the spec boundary.
+NON_FINITE_AXIS_VALUES = (
+    ("lifetimes", float("inf")),
+    ("lifetimes", float("nan")),
+    ("system_volumes", float("nan")),
+    ("defect_density_scale", float("nan")),
+)
+
 
 class TestFromDict:
     def test_scalars_are_promoted_to_axes(self):
@@ -48,6 +56,10 @@ class TestFromDict:
             SweepSpec.from_dict({"testcases": ["ga102-3chiplet"], "lifetimes": [0]})
         with pytest.raises(ValueError):
             SweepSpec.from_dict({"testcases": ["ga102-3chiplet"], "system_volumes": [-1]})
+        # Non-finite values would otherwise evaluate into nan/inf totals.
+        for axis, value in NON_FINITE_AXIS_VALUES:
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec.from_dict({"testcases": ["ga102-3chiplet"], axis: [value]})
 
 
 class TestExpansion:
