@@ -467,10 +467,9 @@ class Session:
                 repair_torn_tail(out)
                 done_ids = completed_scenario_ids(out)
             with open_store(out, append=resume) as store:
-                for record in cached:
-                    if record.get("scenario") in done_ids:
-                        continue
-                    store.append(record)
+                store.extend(
+                    [r for r in cached if r.get("scenario") not in done_ids]
+                )
         total = len(cached)
         if progress is not None:
             progress(total, total)

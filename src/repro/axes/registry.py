@@ -54,6 +54,10 @@ from repro.plugins import (
 )
 from repro.yamlish import parse_inline
 
+#: ``json.dumps(obj, sort_keys=True, default=str)`` without building an
+#: encoder per call.
+_canonical_json = json.JSONEncoder(sort_keys=True, default=str).encode
+
 __all__ = [
     "Axis",
     "apply_config_overrides",
@@ -463,4 +467,4 @@ def overrides_json(overrides: Optional[Mapping[str, Any]]) -> Optional[str]:
     """
     if not overrides:
         return None
-    return json.dumps(dict(overrides), sort_keys=True, default=str)
+    return _canonical_json(dict(overrides))

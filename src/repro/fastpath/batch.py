@@ -39,6 +39,7 @@ from repro.fastpath.compiled import (
 from repro.packaging.base import _TO_MM2
 from repro.sweep.engine import _source_name
 from repro.sweep.spec import Scenario, packaging_params_json
+from repro.sweep.store import RecordBlock
 from repro.technology.carbon_sources import carbon_intensity
 from repro.technology.nodes import TechnologyTable
 
@@ -52,6 +53,20 @@ Record = Dict[str, Any]
 #: Minimum group size for which the NumPy backend beats array-construction
 #: overhead (smaller groups always use the pure-Python loop).
 NUMPY_MIN_GROUP = 16
+
+#: Record columns taken from the compiled template (or the group key), so
+#: every record of one group holds the same value: the ``shared_keys`` of
+#: the blocks :meth:`BatchEstimator.evaluate_group` returns.
+TEMPLATE_COLUMNS = (
+    "base",
+    "nodes",
+    "packaging",
+    "packaging_params",
+    "system",
+    "silicon_area_mm2",
+    "package_area_mm2",
+    "power_w",
+)
 
 
 def group_scenarios(
@@ -283,15 +298,21 @@ class BatchEstimator:
 
     def evaluate_group(
         self, template: CompiledSystem, scenarios: Sequence[Scenario]
-    ) -> List[Record]:
-        """Records for scenarios that all share ``template``."""
+    ) -> RecordBlock:
+        """Records for scenarios that all share ``template``.
+
+        Returned as one :class:`RecordBlock` whose ``shared_keys`` are the
+        :data:`TEMPLATE_COLUMNS`.
+        """
         context = self._context_for(scenarios[0])
         use_numpy = self.use_numpy
         if use_numpy is None:
             use_numpy = _np is not None and len(scenarios) >= NUMPY_MIN_GROUP
         if use_numpy:
-            return self._evaluate_group_numpy(template, scenarios, context)
-        return self._evaluate_group_pure(template, scenarios, context)
+            records = self._evaluate_group_numpy(template, scenarios, context)
+        else:
+            records = self._evaluate_group_pure(template, scenarios, context)
+        return RecordBlock(records, TEMPLATE_COLUMNS)
 
     # -- per-(template, fab source) terms ----------------------------------------------
     def source_terms(
@@ -362,6 +383,7 @@ class BatchEstimator:
         self,
         scenario: Scenario,
         template: CompiledSystem,
+        packaging_params: Optional[str],
         terms: SourceTerms,
         lifetime: float,
         system_volume: float,
@@ -377,7 +399,7 @@ class BatchEstimator:
             "base": scenario.base_ref,
             "nodes": list(template.node_values),
             "packaging": template.architecture,
-            "packaging_params": packaging_params_json(scenario.packaging),
+            "packaging_params": packaging_params,
             "fab_source": terms.fab_label,
             "lifetime_years": lifetime,
             "system_volume": system_volume,
@@ -411,6 +433,8 @@ class BatchEstimator:
         base_volume = template.base_volume
         base_lifetime = template.base_lifetime
         cost = template.cost
+        # Scenarios sharing a template share their packaging signature.
+        packaging_params = packaging_params_json(scenarios[0].packaging)
         records: List[Record] = []
         for scenario in scenarios:
             terms = self.source_terms(template, scenario.fab_source, context)
@@ -437,7 +461,7 @@ class BatchEstimator:
             cost_usd = cost.total_usd(system_volume) if cost is not None else None
             records.append(
                 self._record(
-                    scenario, template, terms, lifetime, system_volume,
+                    scenario, template, packaging_params, terms, lifetime, system_volume,
                     total, embodied, design_used, lifetime_cfp, cost_usd,
                 )
             )
@@ -514,12 +538,14 @@ class BatchEstimator:
                 nre_total = nre_total + group.masks_plus_design_usd / volume
             cost_usd = cost.fixed_usd + nre_total
 
+        packaging_params = packaging_params_json(scenarios[0].packaging)
         records: List[Record] = []
         for index, scenario in enumerate(scenarios):
             records.append(
                 self._record(
                     scenario,
                     template,
+                    packaging_params,
                     terms_list[index],
                     float(lifetime[index]),
                     float(system_volume[index]),

@@ -14,10 +14,10 @@ any instant leaves a state a restarted manager can adopt: ``recover()``
 re-enqueues unfinished jobs with ``resume=True`` and they complete from
 their store with no duplicate or torn rows.
 
-Cancellation and shutdown interrupt *between* records — the engine
-appends each record to the store before invoking the progress callback
-that raises — so an interrupted store is always a valid prefix of the
-full sweep.
+Cancellation and shutdown interrupt *between* blocks — the engine writes
+each evaluated block to the store before invoking the progress callback
+(which raises) for its records — so an interrupted store is always a
+valid prefix of the full sweep.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ class JobManager:
 
         ``drain=True`` finishes every queued and running job first; with a
         ``timeout`` that is a bounded *grace period* — jobs still running
-        when it expires are interrupted at their next record boundary and
+        when it expires are interrupted at their next block boundary and
         persisted as ``queued`` (exactly the ``drain=False`` outcome), so
         shutdown always terminates and never loses work.
         ``drain=False`` interrupts running jobs at their next record
@@ -261,7 +261,7 @@ class JobManager:
                 # Grace expired: escalate to interrupt-and-persist.
                 logger.warning(
                     "shutdown grace period (%.1fs) expired; interrupting "
-                    "running jobs at their next record boundary",
+                    "running jobs at their next block boundary",
                     timeout,
                 )
                 self._abort.set()
@@ -346,7 +346,7 @@ class JobManager:
         """Cancel a queued or running job.
 
         A queued job is finalised immediately; a running one stops at its
-        next record boundary (its store stays a valid prefix).
+        next block boundary (its store stays a valid prefix).
         """
         job = self.get(job_id)
         finalize = False
@@ -474,12 +474,14 @@ class JobManager:
     def _meta_path(self, job: Job) -> Path:
         return self.store_dir / f"{job.id}.json"
 
-    def _persist(self, job: Job) -> None:
-        """Atomically write the job's metadata (tmp + rename)."""
+    def _persist(self, job: Job, **changes: Any) -> None:
+        """Atomically write the job's metadata (tmp + rename), with
+        ``changes`` applied over the job's current fields."""
         meta_path = self._meta_path(job)
         tmp_path = meta_path.with_name(meta_path.name + ".tmp")
         tmp_path.write_text(
-            json.dumps(job.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps({**job.to_dict(), **changes}, sort_keys=True) + "\n",
+            encoding="utf-8",
         )
         os.replace(tmp_path, meta_path)
 
@@ -489,11 +491,14 @@ class JobManager:
             job._quota_released = True
 
     def _finish(self, job: Job, state: str) -> None:
+        # The terminal metadata is on disk before the state is visible in
+        # memory: whoever sees a finished job can read it back from disk.
+        finished_at = time.time()
+        self._persist(job, state=state, finished_at=finished_at)
         with self._lock:
             job.state = state
-            job.finished_at = time.time()
+            job.finished_at = finished_at
             self._release_quota(job)
-        self._persist(job)
         self.metrics.increment(f"jobs_{state}")
 
     def _session(self) -> Session:
@@ -540,8 +545,9 @@ class JobManager:
         abort = self._abort
 
         def progress(done: int, total: int) -> None:
-            # The engine appends each record to the store *before* this
-            # callback, so raising here interrupts cleanly between records.
+            # The engine writes each record's block to the store *before*
+            # this callback, so raising here interrupts cleanly between
+            # blocks.
             job.done = total_count - total + done
             if cancel_event.is_set():
                 raise _JobCancelled()

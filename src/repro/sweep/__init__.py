@@ -16,8 +16,8 @@ provides the scale-out machinery for that:
     backend (``backend="batch"``, see :mod:`repro.fastpath`) whose records
     are bit-identical to the scalar path.
 :mod:`repro.sweep.store`
-    Streaming JSONL/CSV result stores (crash-safe, constant memory) and
-    row adapters feeding :func:`repro.core.explorer.pareto_front`.
+    Streaming JSONL/CSV result stores (crash-safe, constant memory, one
+    write per :class:`~repro.sweep.store.RecordBlock`) and row adapters feeding :func:`repro.core.explorer.pareto_front`.
 """
 
 from repro.sweep.engine import (
@@ -32,6 +32,7 @@ from repro.sweep.spec import PRESETS, Scenario, SweepSpec, load_spec
 from repro.sweep.store import (
     CsvResultStore,
     JsonlResultStore,
+    RecordBlock,
     SweepRow,
     completed_scenario_ids,
     iter_records,
@@ -57,6 +58,7 @@ __all__ = [
     "install_kernel_cache",
     "JsonlResultStore",
     "CsvResultStore",
+    "RecordBlock",
     "SweepRow",
     "open_store",
     "iter_records",

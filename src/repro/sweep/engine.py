@@ -15,7 +15,12 @@ through one evaluation loop, whatever the backend or ``jobs`` value:
   policy says;
 * ``jobs=1`` runs that loop in-process; ``jobs>1`` ships chunks of groups
   to a supervised worker pool and streams every chunk back, in order, as
-  soon as it and the chunks before it are done.
+  soon as it and the chunks before it are done;
+* each evaluated group travels as one
+  :class:`~repro.sweep.store.RecordBlock` and :meth:`SweepEngine.run`
+  writes it with one :meth:`~repro.sweep.store.ResultStore.extend`.  A
+  group whose scenarios are not contiguous in the run's order is split
+  into blocks of one record.
 
 Records come out in scenario order and are bit-identical across both
 backends and every ``jobs`` value.
@@ -85,6 +90,7 @@ from repro.resilience.records import (
 )
 from repro.sweep.spec import Scenario, SweepSpec, resolve_base
 from repro.sweep.store import (
+    RecordBlock,
     ResultStore,
     iter_records as _iter_store_records,
     repair_torn_tail,
@@ -353,9 +359,9 @@ class _ScenarioEvaluator:
 #: list) and the scenarios at those positions.
 Group = Tuple[List[int], List[Scenario]]
 
-#: What a chunk of groups evaluates to: ``(position, record)`` pairs plus
-#: the per-scenario retry attempts spent on them.
-ChunkResult = Tuple[List[Tuple[int, Record]], int]
+#: What a chunk of groups evaluates to: one ``(positions, block)`` pair per
+#: group plus the per-scenario retry attempts spent on them.
+ChunkResult = Tuple[List[Tuple[List[int], RecordBlock]], int]
 
 #: The policy of engines built without one: the first failing scenario
 #: raises its own exception, and a lost worker pool is not respawned.
@@ -403,10 +409,10 @@ class _GroupEvaluator:
                 persistent_cache=compile_cache,
             )
 
-    def attempt(self, scenarios: Sequence[Scenario]) -> List[Record]:
+    def attempt(self, scenarios: Sequence[Scenario]) -> RecordBlock:
         """Records of one group, evaluated in one go."""
         if self.scalar is not None:
-            return [self.scalar.evaluate(scenario) for scenario in scenarios]
+            return RecordBlock(map(self.scalar.evaluate, scenarios))
         template = self.batch.compile_for(scenarios[0])
         return self.batch.evaluate_group(template, scenarios)
 
@@ -437,20 +443,21 @@ def _evaluate_groups(
     One attempt per group; when it raises, or a chaos plan is mounted, the
     group is replayed scenario by scenario under the policy, so error
     records, attempts and retries are those of per-scenario containment.
+    A replayed group's block has no shared keys.
     """
     evaluator = evaluator if evaluator is not None else _WORKER
     assert evaluator is not None, "worker initializer did not run"
-    pairs: List[Tuple[int, Record]] = []
+    blocks: List[Tuple[List[int], RecordBlock]] = []
     retries = 0
     for positions, scenarios in groups:
-        records: Optional[List[Record]] = None
+        records: Optional[RecordBlock] = None
         if evaluator.chaos is None:
             try:
                 records = evaluator.attempt(scenarios)
             except Exception:  # noqa: BLE001 - replayed per scenario below
                 records = None
         if records is None:
-            records = []
+            records = RecordBlock()
             for scenario in scenarios:
                 record, attempts_over = evaluate_contained(
                     evaluator.evaluate,
@@ -461,8 +468,22 @@ def _evaluate_groups(
                 )
                 retries += attempts_over
                 records.append(record)
-        pairs.extend(zip(positions, records))
-    return pairs, retries
+        blocks.append((positions, records))
+    return blocks, retries
+
+
+def _annotate(block: RecordBlock, annotations: Mapping[str, Any]) -> RecordBlock:
+    """``block`` with ``annotations`` merged into every record, as extra
+    shared keys."""
+    records = []
+    for record in block:
+        collisions = [key for key in annotations if key in record]
+        if collisions:
+            raise ValueError(
+                f"annotate keys {sorted(collisions)} collide with record columns"
+            )
+        records.append({**record, **annotations})
+    return RecordBlock(records, block.shared_keys + tuple(annotations))
 
 
 def shard(items: Sequence[Any], chunk_size: int) -> List[List[Any]]:
@@ -785,9 +806,13 @@ class SweepEngine:
             for index in range(next_chunk, len(chunks)):
                 yield done.pop(index, None) or (
                     [
-                        (position, error_record(scenario, lost))
+                        (
+                            positions,
+                            RecordBlock(
+                                error_record(scenario, lost) for scenario in scenarios
+                            ),
+                        )
                         for positions, scenarios in chunks[index]
-                        for position, scenario in zip(positions, scenarios)
                     ],
                     0,
                 )
@@ -834,9 +859,19 @@ class SweepEngine:
         bit-identical across all of them, including structured error
         records under a resilience policy.
         """
+        for block in self._iter_blocks(self._resolve_scenarios(sweep)):
+            yield from block
+
+    def _iter_blocks(self, scenarios: List[Scenario]) -> Iterator[RecordBlock]:
+        """The records of ``scenarios`` in scenario order, as blocks.
+
+        A group whose positions are contiguous travels as its evaluated
+        block once it reaches the head of the order buffer; a group that
+        is not (scenario orders that interleave templates) is split into
+        blocks of one record, so records never leave scenario order.
+        """
         self.last_cache_stats = None
         self.last_retry_count = 0
-        scenarios = self._resolve_scenarios(sweep)
         if not scenarios:
             return
         policy = self.resilience if self.resilience is not None else FAIL_FAST
@@ -855,17 +890,23 @@ class SweepEngine:
             )
         else:
             results = self._run_chunks(chunks, policy)
-        # Records are buffered only while a group completes out of input
+        # Blocks are buffered only while a group completes out of input
         # order; spec-expanded grids (template axes outermost) keep groups
         # contiguous, so memory stays bounded by the largest group.
-        pending: Dict[int, Record] = {}
+        pending: Dict[int, RecordBlock] = {}
         next_position = 0
-        for pairs, retries in results:
+        for blocks, retries in results:
             self.last_retry_count += retries
-            pending.update(pairs)
+            for positions, block in blocks:
+                if positions[-1] - positions[0] == len(positions) - 1:
+                    pending[positions[0]] = block
+                else:
+                    for position, record in zip(positions, block):
+                        pending[position] = RecordBlock((record,))
             while next_position in pending:
-                yield pending.pop(next_position)
-                next_position += 1
+                block = pending.pop(next_position)
+                yield block
+                next_position += len(block)
 
     # -- one-shot -------------------------------------------------------------------
     def run(
@@ -881,8 +922,9 @@ class SweepEngine:
 
         Args:
             sweep: A spec (expanded here) or pre-expanded scenarios.
-            store: Streaming result store; each record is appended (and
-                flushed) as soon as it is computed.
+            store: Streaming result store; each evaluated group is written
+                with one :meth:`ResultStore.extend` as soon as it and every
+                scenario before it are computed.
             progress: Optional ``(done, total)`` callback per record.
             resume: A store (or store path) from a previous run of the same
                 spec: scenarios whose ids already appear in it are skipped
@@ -891,8 +933,8 @@ class SweepEngine:
                 summary covers the whole sweep.  Usually the same file as
                 ``store``, opened with ``append=True`` so old and new
                 records accumulate together.
-            on_record: Optional callback invoked with every record as soon
-                as it is computed (after the ``store`` append).  Used by
+            on_record: Optional callback invoked with every record, in
+                scenario order, after its block reached the ``store``.  Used by
                 :class:`repro.api.Session` to collect records without
                 round-tripping through a file.
             annotate: Constant extra columns merged into every record of
@@ -922,28 +964,23 @@ class SweepEngine:
         error_count = 0
         error_codes: Dict[str, int] = {}
         start = time.perf_counter()
-        for record in self.iter_records(scenarios):
+        for block in self._iter_blocks(scenarios):
             if annotations is not None:
-                collisions = [key for key in annotations if key in record]
-                if collisions:
-                    raise ValueError(
-                        f"annotate keys {sorted(collisions)} collide with "
-                        f"record columns"
-                    )
-                record = {**record, **annotations}
+                block = _annotate(block, annotations)
             if store is not None:
-                store.append(record)
-            if on_record is not None:
-                on_record(record)
-            if is_error_record(record):
-                error_count += 1
-                code = (error_info(record) or {}).get("code", "evaluation-error")
-                error_codes[code] = error_codes.get(code, 0) + 1
-            elif best is None or record["total_carbon_g"] < best["total_carbon_g"]:
-                best = record
-            done += 1
-            if progress is not None:
-                progress(done, total)
+                store.extend(block)
+            for record in block:
+                if on_record is not None:
+                    on_record(record)
+                if is_error_record(record):
+                    error_count += 1
+                    code = (error_info(record) or {}).get("code", "evaluation-error")
+                    error_codes[code] = error_codes.get(code, 0) + 1
+                elif best is None or record["total_carbon_g"] < best["total_carbon_g"]:
+                    best = record
+                done += 1
+                if progress is not None:
+                    progress(done, total)
         elapsed = time.perf_counter() - start
         return SweepSummary(
             scenario_count=done,

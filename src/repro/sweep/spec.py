@@ -41,6 +41,10 @@ from repro.yamlish import parse_yamlish
 
 PathLike = Union[str, Path]
 
+#: ``json.dumps(obj, sort_keys=True, default=str)`` without building an
+#: encoder per call.
+_canonical_json = json.JSONEncoder(sort_keys=True, default=str).encode
+
 #: Base-system kinds a scenario can reference.
 BASE_TESTCASE = "testcase"
 BASE_DESIGN_DIR = "design_dir"
@@ -85,7 +89,7 @@ def packaging_params_json(packaging: Optional[Mapping[str, Any]]) -> Optional[st
     params = {key: packaging[key] for key in packaging if key != "type"}
     if not params:
         return None
-    return json.dumps(params, sort_keys=True, default=str)
+    return _canonical_json(params)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,19 @@
 
 Sweep runs can produce tens of thousands of result rows; holding them all in
 memory (the failure mode of the old ``node_configuration_sweep`` dict) does
-not scale and loses everything on a crash.  The stores here append one
-flattened record at a time — each ``append`` writes and flushes a complete
-line/row, so a killed run leaves a valid, resumable file behind and memory
-stays constant regardless of sweep size.
+not scale and loses everything on a crash.  The stores here write records as
+they are computed: ``append`` writes one record, ``extend`` writes a whole
+:class:`RecordBlock` (one evaluated template group) in one write, so memory
+stays constant regardless of sweep size and a killed run leaves complete
+lines plus at most one torn tail line, which :func:`repair_torn_tail`
+removes before a resume.
+
+A JSONL block of at least :data:`TEMPLATE_MIN_ROWS` records whose
+``shared_keys`` are known is rendered through one ``%``-template per block:
+the shared columns are encoded once, floats go through ``%r`` and ints
+through ``%d``.  The bytes equal ``json.dumps(record, sort_keys=True)`` per
+line; a block the template cannot render exactly (a non-finite float, a
+column of mixed types) is encoded row by row instead.
 
 Reloading turns records back into :class:`SweepRow` objects that expose the
 same ``objective(name)`` protocol as
@@ -16,9 +25,10 @@ sweep results unchanged.
 Two properties make the stores safe for a multi-job server
 (:mod:`repro.serve`) where several sweeps stream to sibling files at once:
 
-* **Line-atomic appends** — every record is rendered to bytes first and
-  written with a single ``os.write`` to an ``O_APPEND`` descriptor, so a
-  row can never interleave with another writer's bytes mid-line.
+* **Atomic block writes** — every record or block is rendered to bytes
+  first and written to an ``O_APPEND`` descriptor in one ``os.write``
+  (looping only when the kernel accepts fewer bytes), so rows can never
+  interleave with another writer's bytes mid-line.
 * **Single-writer ownership** — opening a store for writing acquires a
   sidecar ``<path>.lock`` pid file; a second live writer gets
   :class:`StoreLockError` instead of silently corrupting the stream, and a
@@ -29,12 +39,35 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 import os
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
 
 PathLike = Union[str, Path]
+
+#: ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+#: Smallest JSONL block rendered through a line template; below it the
+#: per-row encoder is as fast (the crossover measures ~8 rows).  Equal to
+#: :data:`repro.fastpath.batch.NUMPY_MIN_GROUP`, so a template group takes
+#: the template renderer exactly when it takes the NumPy evaluator.
+TEMPLATE_MIN_ROWS = 16
 
 
 class StoreLockError(RuntimeError):
@@ -102,13 +135,44 @@ def _acquire_store_lock(path: Path) -> Path:
 # ---------------------------------------------------------------------------
 # Writers
 # ---------------------------------------------------------------------------
+class RecordBlock(list):
+    """Records of one evaluated group: the unit a store writes at once.
+
+    A plain ``list`` of record dicts, plus ``shared_keys``: columns whose
+    value is the same in every record of the block, known by construction
+    (the template columns of a batch group, a run's annotations).  A store
+    may encode a shared column once per block instead of once per row;
+    the empty tuple promises nothing.
+    """
+
+    def __init__(
+        self,
+        records: Iterable[Mapping[str, Any]] = (),
+        shared_keys: Sequence[str] = (),
+    ):
+        super().__init__(records)
+        self.shared_keys = tuple(shared_keys)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` all of ``data``, looping over short writes."""
+    view = memoryview(data)
+    while view:
+        written = os.write(fd, view)
+        if written == 0:
+            raise OSError(f"write made no progress with {len(view)} bytes left")
+        view = view[written:]
+
+
 class ResultStore:
     """Base class: append flattened records to a file incrementally.
 
     Subclasses implement :meth:`_render` (record -> complete encoded
-    line(s)).  Each append issues exactly one ``os.write`` to an
-    ``O_APPEND`` descriptor, so every record lands on disk whole — a killed
-    run leaves at most one torn *tail* line behind (repairable via
+    line(s)) and may override :meth:`_render_block` (records -> encoded
+    lines).  Each ``append`` or ``extend`` renders first and then writes
+    the bytes in one ``os.write`` to an ``O_APPEND`` descriptor (looping
+    only over a short write), so a killed run leaves complete lines plus
+    at most one torn *tail* line behind (repairable via
     :func:`repair_torn_tail`), never an interleaved or mid-file torn row.
 
     Args:
@@ -137,14 +201,27 @@ class ResultStore:
         self.count = 0
 
     def append(self, record: Mapping[str, Any]) -> None:
-        """Write one record as a single line-atomic ``os.write``."""
+        """Write one record in one write."""
+        self._write(self._render(record))
+        self.count += 1
+
+    def extend(self, records: Sequence[Mapping[str, Any]]) -> None:
+        """Write a block of records (a :class:`RecordBlock` or any
+        sequence) in one write."""
+        if records:
+            self._write(self._render_block(records))
+            self.count += len(records)
+
+    def _write(self, data: bytes) -> None:
         if self._fd is None:
             raise ValueError(f"store {self.path} is closed")
-        os.write(self._fd, self._render(record))
-        self.count += 1
+        _write_all(self._fd, data)
 
     def _render(self, record: Mapping[str, Any]) -> bytes:
         raise NotImplementedError
+
+    def _render_block(self, records: Sequence[Mapping[str, Any]]) -> bytes:
+        return b"".join(map(self._render, records))
 
     def _release_lock(self) -> None:
         if self._lock_path is not None:
@@ -172,7 +249,69 @@ class JsonlResultStore(ResultStore):
     """One JSON object per line (the default sweep output format)."""
 
     def _render(self, record: Mapping[str, Any]) -> bytes:
-        return (json.dumps(dict(record), sort_keys=True) + "\n").encode("utf-8")
+        return (_encode(dict(record)) + "\n").encode("utf-8")
+
+    def _render_block(self, records: Sequence[Mapping[str, Any]]) -> bytes:
+        shared_keys = getattr(records, "shared_keys", ())
+        if shared_keys and len(records) >= TEMPLATE_MIN_ROWS:
+            text = render_jsonl_block(records, shared_keys)
+            if text is not None:
+                return text.encode("utf-8")
+        return super()._render_block(records)
+
+
+def render_jsonl_block(
+    records: Sequence[Mapping[str, Any]], shared_keys: Iterable[str]
+) -> Optional[str]:
+    """JSONL lines of ``records`` through one line template, or ``None``.
+
+    The result equals ``json.dumps(record, sort_keys=True) + "\\n"`` per
+    record.  Columns in ``shared_keys`` must hold the same value in every
+    record; they are encoded once, from the first record.  The other
+    columns become ``%r`` (floats), ``%d`` (ints), a ``null`` literal, or
+    ``%s`` over values encoded per row.  ``None`` means the template
+    cannot render the block exactly (records with different key sets or
+    non-string keys, a column of mixed types, a non-finite float, which
+    ``%r`` would spell ``nan``/``inf``); the caller encodes it row by row.
+    """
+    first = records[0]
+    keys = first.keys()
+    if not all(type(key) is str for key in keys):
+        return None
+    if not all(record.keys() == keys for record in records):
+        return None
+    shared = set(shared_keys)
+    parts: List[str] = []
+    columns: List[List[Any]] = []
+    for key in sorted(keys):
+        head = _encode_str(key).replace("%", "%%") + ": "
+        if key in shared:
+            parts.append(head + _encode(first[key]).replace("%", "%%"))
+            continue
+        column = [record[key] for record in records]
+        kinds = set(map(type, column))
+        if len(kinds) != 1:
+            return None
+        kind = kinds.pop()
+        if kind is float:
+            if not all(map(math.isfinite, column)):
+                return None
+            parts.append(head + "%r")
+        elif kind is int:
+            parts.append(head + "%d")
+        elif kind is type(None):
+            parts.append(head + "null")
+            continue
+        else:
+            encode = _encode_str if kind is str else _encode
+            column = list(map(encode, column))
+            parts.append(head + "%s")
+        columns.append(column)
+    line = "{" + ", ".join(parts) + "}\n"
+    if not columns:
+        return line * len(records)
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return (line * len(records)) % values
 
 
 class CsvResultStore(ResultStore):
@@ -211,14 +350,20 @@ class CsvResultStore(ResultStore):
         return value
 
     def _render(self, record: Mapping[str, Any]) -> bytes:
-        flat = {key: self._flatten(value) for key, value in record.items()}
+        return self._render_block((record,))
+
+    def _render_block(self, records: Sequence[Mapping[str, Any]]) -> bytes:
+        rows = [
+            {key: self._flatten(value) for key, value in record.items()}
+            for record in records
+        ]
         write_header = self._fieldnames is None
         if write_header:
-            self._fieldnames = list(flat)
+            self._fieldnames = list(rows[0])
         # Rows are rendered to an untranslated text buffer first (the csv
         # module's native "\r\n" terminators pass through byte-identically)
-        # so the whole row — plus the header on first write — lands in one
-        # os.write.
+        # so the whole block — plus the header on first write — lands in
+        # one write.
         buffer = io.StringIO(newline="")
         writer = csv.DictWriter(
             buffer,
@@ -228,7 +373,7 @@ class CsvResultStore(ResultStore):
         )
         if write_header:
             writer.writeheader()
-        writer.writerow(flat)
+        writer.writerows(rows)
         return buffer.getvalue().encode("utf-8")
 
 

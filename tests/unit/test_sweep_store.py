@@ -7,16 +7,20 @@ import os
 
 import pytest
 
+import repro.sweep.store as store_module
 from repro.core.explorer import pareto_front
 from repro.sweep.store import (
+    TEMPLATE_MIN_ROWS,
     CsvResultStore,
     JsonlResultStore,
+    RecordBlock,
     StoreLockError,
     SweepRow,
     iter_records,
     load_records,
     load_rows,
     open_store,
+    render_jsonl_block,
     rows_from_records,
 )
 
@@ -255,3 +259,150 @@ class TestCsvForwardCompatibleAppend:
             {"scenario": 0, "total_carbon_g": 1.5},
             {"scenario": 1, "total_carbon_g": 2.5},
         ]
+
+
+def _grid_block(rows: int = 20) -> RecordBlock:
+    """A template-group-shaped block: eight shared columns, floats varying."""
+    return RecordBlock(
+        [
+            {
+                "scenario": index,
+                "base": "ga102-3chiplet",
+                "nodes": [7.0, 14.0, 10.0],
+                "packaging": "rdl_fanout",
+                "packaging_params": '{"layers": 4}',
+                "fab_source": "coal" if index % 2 else "renewable_mix",
+                "lifetime_years": float(1 + index % 4),
+                "system_volume": 10.0 ** (3 + index % 5),
+                "overrides": None,
+                "system": "GA102-3chiplet",
+                "total_carbon_g": 1708396.5743418778 + index / 3.0,
+                "silicon_area_mm2": 629.038,
+                "package_area_mm2": 712.0315784742552,
+                "power_w": 130.56706630136986,
+            }
+            for index in range(rows)
+        ],
+        ("base", "nodes", "packaging", "packaging_params", "system",
+         "silicon_area_mm2", "package_area_mm2", "power_w"),
+    )
+
+
+def _dumps(records) -> bytes:
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+
+
+@pytest.fixture()
+def writes(monkeypatch):
+    """Every buffer handed to the store's write loop."""
+    calls = []
+    real = store_module._write_all
+
+    def spy(fd, data):
+        calls.append(bytes(data))
+        real(fd, data)
+
+    monkeypatch.setattr(store_module, "_write_all", spy)
+    return calls
+
+
+class TestBlockWrites:
+    def test_jsonl_block_is_one_write_of_json_dumps_lines(self, tmp_path, writes):
+        block = _grid_block(20)
+        assert len(block) >= TEMPLATE_MIN_ROWS
+        assert render_jsonl_block(block, block.shared_keys) is not None
+        path = tmp_path / "out.jsonl"
+        with JsonlResultStore(path) as store:
+            store.extend(block)
+            assert store.count == 20
+        assert writes == [_dumps(block)]
+        assert path.read_bytes() == _dumps(block)
+
+    def test_small_and_keyless_blocks_render_row_by_row(self, tmp_path, writes):
+        small = _grid_block(TEMPLATE_MIN_ROWS - 1)
+        keyless = list(_grid_block(20))
+        path = tmp_path / "out.jsonl"
+        with JsonlResultStore(path) as store:
+            store.extend(small)
+            store.extend(keyless)
+            store.extend([])
+        assert writes == [_dumps(small), _dumps(keyless)]
+
+    def test_non_finite_float_falls_back_to_json_spelling(self, tmp_path):
+        block = _grid_block(20)
+        block[3]["total_carbon_g"] = float("nan")
+        block[5]["total_carbon_g"] = float("-inf")
+        assert render_jsonl_block(block, block.shared_keys) is None
+        path = tmp_path / "out.jsonl"
+        with JsonlResultStore(path) as store:
+            store.extend(block)
+        assert path.read_bytes() == _dumps(block)
+        assert b"NaN" in path.read_bytes() and b"-Infinity" in path.read_bytes()
+
+    def test_mixed_key_sets_fall_back(self):
+        block = _grid_block(20)
+        block[4]["error"] = {"code": "x"}
+        assert render_jsonl_block(block, block.shared_keys) is None
+
+    def test_record_block_survives_pickling(self):
+        import pickle
+
+        block = _grid_block(3)
+        clone = pickle.loads(pickle.dumps(block))
+        assert clone == block and clone.shared_keys == block.shared_keys
+
+    def test_csv_extend_equals_appends_in_one_write(self, tmp_path, writes):
+        block = _grid_block(20)
+        appended = tmp_path / "appended.csv"
+        with CsvResultStore(appended) as store:
+            for record in block:
+                store.append(record)
+        writes.clear()
+        extended = tmp_path / "extended.csv"
+        with CsvResultStore(extended) as store:
+            store.extend(block[:10])
+            store.extend(block[10:])
+            assert store.count == 20
+        assert len(writes) == 2
+        assert extended.read_bytes() == appended.read_bytes()
+        assert load_records(extended) == load_records(appended)
+
+    def test_csv_extend_keeps_the_on_disk_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with CsvResultStore(path) as store:
+            store.append({"b": 1, "a": 2})
+        with CsvResultStore(path, append=True) as store:
+            store.extend([{"a": 20, "b": 10, "new": 0}, {"a": 40, "b": 30}])
+        assert load_records(path) == [
+            {"b": 1, "a": 2}, {"b": 10, "a": 20}, {"b": 30, "a": 40},
+        ]
+
+
+class TestShortWrites:
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
+        real_write = os.write
+        sizes = []
+
+        def partial_write(fd, data):
+            # The kernel may accept fewer bytes than asked: take 7 at most.
+            written = real_write(fd, bytes(data[:7]))
+            sizes.append(written)
+            return written
+
+        block = _grid_block(20)
+        path = tmp_path / "out.jsonl"
+        with JsonlResultStore(path) as store:
+            monkeypatch.setattr(os, "write", partial_write)
+            store.append(RECORDS[0])
+            store.extend(block)
+            monkeypatch.undo()
+        assert len(sizes) > 2
+        assert path.read_bytes() == _dumps([RECORDS[0], *block])
+
+    def test_zero_byte_write_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.jsonl"
+        with JsonlResultStore(path) as store:
+            monkeypatch.setattr(os, "write", lambda fd, data: 0)
+            with pytest.raises(OSError, match="no progress"):
+                store.append(RECORDS[0])
+            monkeypatch.undo()
