@@ -25,10 +25,15 @@ Additional conveniences:
   grid instead of enumerating it, streaming every evaluated point to the
   crash-safe store with its ``search_round``.
 
-Exit codes: ``2`` means the request itself was invalid (bad spec, unknown
-preset/axis/format, bad flag values), ``3`` a runtime failure (I/O,
-evaluation, port in use) — the same split, with the same structured error
-text, the HTTP API reports.
+The three subcommands share their evaluation flags (``--jobs``,
+``--backend``, ``--compile-cache``, ``--no-cost``; ``sweep`` and ``search``
+also ``--set``, ``--out``, ``--quiet``) through argparse parent parsers.
+They report a failure by raising :class:`~repro.serve.errors.SpecError`
+(exit ``2``: bad spec or flag value, unknown preset/axis/format, a node
+outside the technology table) or :class:`~repro.serve.errors.RuntimeJobError`
+(exit ``3``: I/O, a locked store, port in use); :func:`main` alone prints
+the error's one ``error: [code] message`` line — the codes the HTTP API
+reports — and returns its exit code.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ import heapq
 import itertools
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.disaggregation import iter_node_configurations
 from repro.core.estimator import EcoChip, EstimatorConfig
@@ -46,6 +52,7 @@ from repro.core.results import SystemCarbonReport
 from repro.core.system import ChipletSystem
 from repro.io.loaders import load_design_directory
 from repro.io.writers import write_report
+from repro.serve.errors import RuntimeJobError, ServeError, SpecError
 from repro.testcases.registry import get_testcase, list_testcases
 
 
@@ -169,7 +176,7 @@ def _print_sweep(system: ChipletSystem, nodes: List[float], estimator: EcoChip) 
         )
 
 
-#: Environment default of ``--compile-cache`` (sweep and serve).
+#: Environment default of ``--compile-cache`` (sweep, search and serve).
 COMPILE_CACHE_ENV = "ECO_CHIP_COMPILE_CACHE"
 
 
@@ -181,10 +188,13 @@ def resolve_compile_cache(explicit: Optional[str], backend: str) -> Optional[str
     silently do nothing.  The ``ECO_CHIP_COMPILE_CACHE`` environment
     default, by contrast, is meant to be set once per machine, so it is
     simply ignored where it cannot help.
+
+    Raises:
+        SpecError: ``explicit`` is set and ``backend`` is not ``batch``.
     """
     if explicit is not None:
         if backend != "batch":
-            raise ValueError(
+            raise SpecError(
                 "--compile-cache requires --backend batch (the scalar "
                 "backend compiles no templates, so nothing would be cached)"
             )
@@ -192,6 +202,73 @@ def resolve_compile_cache(explicit: Optional[str], backend: str) -> Optional[str
     if backend != "batch":
         return None
     return os.environ.get(COMPILE_CACHE_ENV) or None
+
+
+def _evaluation_flags() -> argparse.ArgumentParser:
+    """Parent parser of the evaluation flags ``sweep``, ``search`` and
+    ``serve`` share.
+
+    Built afresh for every subcommand: ``set_defaults`` on a child parser
+    (``serve`` runs on ``batch``) rewrites the inherited action objects.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--jobs", type=int, default=1,
+        help="Worker processes per run; 1 evaluates in-process (default: 1)",
+    )
+    parent.add_argument(
+        "--backend",
+        choices=["scalar", "batch"],
+        default="scalar",
+        help=(
+            "Evaluation backend: 'scalar' runs the full estimator pipeline "
+            "per scenario, 'batch' compiles scenario templates once and "
+            "evaluates grids as flat arithmetic (bit-identical results, "
+            "much faster on repetitive grids; default: %(default)s)"
+        ),
+    )
+    parent.add_argument(
+        "--compile-cache",
+        metavar="DIR",
+        default=None,
+        help=(
+            "Persistent on-disk compile cache for --backend batch: compiled "
+            "templates and floorplan signatures are stored content-addressed "
+            "under DIR and shared across runs, processes and server restarts "
+            "(defaults to $ECO_CHIP_COMPILE_CACHE when set)"
+        ),
+    )
+    parent.add_argument(
+        "--no-cost",
+        action="store_true",
+        help="Omit the cost_usd (dollar-cost model) column from the records",
+    )
+    return parent
+
+
+def _store_flags() -> argparse.ArgumentParser:
+    """Parent parser of the grid and output flags ``sweep`` and ``search`` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--set",
+        dest="axis_sets",
+        action="append",
+        default=[],
+        metavar="AXIS=V1[,V2,...]",
+        help=(
+            "Sweep a registered axis over the comma-separated values (search: "
+            "add it to the candidate space), e.g. --set "
+            "wafer_diameter_mm=300,450 or --set 'router_spec={ports: 8}' "
+            "(repeatable; see 'eco-chip --list-axes' for the axis catalogue)"
+        ),
+    )
+    parent.add_argument(
+        "--out", help="Stream records to this file (.jsonl/.ndjson or .csv)"
+    )
+    parent.add_argument(
+        "--quiet", action="store_true", help="Only print the run summary line"
+    )
+    return parent
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
@@ -206,52 +283,13 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "{\"type\": \"bridge\", \"params\": {\"bridge_range_mm\": [2, 4]}} "
             "(see 'eco-chip --list-packaging' for each architecture's axes)."
         ),
+        parents=[_evaluation_flags(), _store_flags()],
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--spec", help="Sweep-spec file (.json or YAML-ish .yaml)")
     source.add_argument("--preset", help="Name of a built-in sweep preset (see --list-presets)")
     parser.add_argument(
         "--list-presets", action="store_true", help="List the built-in sweep presets and exit"
-    )
-    parser.add_argument(
-        "--set",
-        dest="axis_sets",
-        action="append",
-        default=[],
-        metavar="AXIS=V1[,V2,...]",
-        help=(
-            "Sweep a registered axis over the comma-separated values, e.g. "
-            "--set wafer_diameter_mm=300,450 or --set 'router_spec={ports: 8}' "
-            "(repeatable; see 'eco-chip --list-axes' for the axis catalogue)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="Worker processes (1 = serial, default)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["scalar", "batch"],
-        default="scalar",
-        help=(
-            "Evaluation backend: 'scalar' runs the full estimator pipeline "
-            "per scenario, 'batch' compiles scenario templates once and "
-            "evaluates grids as flat arithmetic (bit-identical results, "
-            "much faster on repetitive grids; default: scalar)"
-        ),
-    )
-    parser.add_argument(
-        "--compile-cache",
-        metavar="DIR",
-        default=None,
-        help=(
-            "Persistent on-disk compile cache for --backend batch: compiled "
-            "templates and floorplan signatures are stored content-addressed "
-            "under DIR and shared across runs, processes, and restarts "
-            "(defaults to $ECO_CHIP_COMPILE_CACHE when set)"
-        ),
-    )
-    parser.add_argument(
-        "--out", help="Stream results to this file (.jsonl/.ndjson or .csv)"
     )
     parser.add_argument(
         "--resume",
@@ -294,11 +332,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-cost",
-        action="store_true",
-        help="Omit the cost_usd (dollar-cost model) column from the records",
-    )
-    parser.add_argument(
         "--top", type=int, default=5, help="Print the N lowest-carbon scenarios (default: 5)"
     )
     parser.add_argument(
@@ -309,13 +342,26 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "objectives (e.g. total_carbon_g,silicon_area_mm2)"
         ),
     )
-    parser.add_argument(
-        "--quiet", action="store_true", help="Only print the run summary line"
-    )
     return parser
 
 
-def _parse_axis_sets(entries: Sequence[str]) -> "dict":
+def _require_min(flag: str, value: Optional[float], minimum: int) -> None:
+    """Reject a numeric flag below ``minimum`` (``None``: flag not given)."""
+    if value is not None and value < minimum:
+        raise SpecError(f"{flag} must be >= {minimum}, got {value}")
+
+
+def _store_path(args: argparse.Namespace, resume_note: str) -> Optional[str]:
+    """The store a run writes: ``--resume FILE`` (which ``--out``, when also
+    given, must name too), else ``--out``."""
+    if not args.resume:
+        return args.out
+    if args.out and Path(args.out).resolve() != Path(args.resume).resolve():
+        raise SpecError(f"--resume {resume_note}; drop --out or pass the same path")
+    return args.resume
+
+
+def _parse_axis_sets(entries: Sequence[str]) -> Dict[str, List[Any]]:
     """Parse repeated ``--set AXIS=V1[,V2,...]`` flags into an axis mapping.
 
     Values use the YAML-ish inline grammar (scalars, ``[...]``, ``{...}``)
@@ -324,51 +370,61 @@ def _parse_axis_sets(entries: Sequence[str]) -> "dict":
     evaluation starts.
 
     Raises:
-        KeyError: an unregistered axis name (message lists the catalogue).
-        ValueError: malformed ``NAME=...`` syntax, an empty value list, a
-            repeated axis, or a value the axis's validator rejects.
+        SpecError: an unregistered axis name (message lists the catalogue),
+            malformed ``NAME=...`` syntax, an empty value list, a repeated
+            axis, or a value the axis's validator rejects.
     """
     from repro.axes import get_axis
     from repro.yamlish import split_inline
 
-    axes: dict = {}
+    axes: Dict[str, List[Any]] = {}
     for entry in entries:
         name, sep, text = entry.partition("=")
         name = name.strip()
         if not sep or not name:
-            raise ValueError(
+            raise SpecError(
                 f"--set expects AXIS=V1[,V2,...], got {entry!r} "
                 f"(see 'eco-chip --list-axes')"
             )
-        axis = get_axis(name)  # raises KeyError listing registered axes
+        try:
+            axis = get_axis(name)
+        except KeyError as exc:  # the message lists the registered axes
+            raise SpecError(str(exc)) from exc
         if axis.name in axes:
-            raise ValueError(
+            raise SpecError(
                 f"--set {axis.name} given more than once; list every value "
                 f"in one flag: --set {axis.name}=V1,V2,..."
             )
         parts = split_inline(text) if text.strip() else []
         if not parts:
-            raise ValueError(f"--set {axis.name}: no values given")
+            raise SpecError(f"--set {axis.name}: no values given")
         try:
             values = [axis.parse_text(part) for part in parts]
         except (TypeError, ValueError, KeyError) as exc:
             # KeyError included: axis validators that delegate to lookup
             # helpers (e.g. carbon sources) raise it for unknown names.
-            raise ValueError(f"--set {axis.name}: {exc}") from exc
+            raise SpecError(f"--set {axis.name}: {exc}") from exc
         axes[axis.name] = values
     return axes
 
 
+def _merge_axis_sets(
+    config: Dict[str, Any], axis_sets: Mapping[str, List[Any]], noun: str
+) -> None:
+    """Add parsed ``--set`` axes to the sweep-spec mapping ``config``;
+    ``noun`` names that mapping in the conflict error."""
+    for name, values in axis_sets.items():
+        if name in config:
+            raise SpecError(
+                f"--set {name} conflicts with the {noun}'s own {name!r} "
+                f"axis; drop one of the two"
+            )
+        config[name] = values
+
+
 def _sweep_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip sweep``; returns a process exit code."""
-    from pathlib import Path
-
     from repro.core.explorer import pareto_front
-    from repro.serve.errors import (
-        EXIT_RUNTIME_ERROR,
-        EXIT_SPEC_ERROR,
-        format_error_text,
-    )
     from repro.sweep.engine import SweepEngine, prepare_resume
     from repro.sweep.spec import PRESETS, SweepSpec, load_spec_dict, preset_dict
     from repro.sweep.store import open_store, rows_from_records
@@ -383,29 +439,10 @@ def _sweep_main(argv: Sequence[str]) -> int:
     if not args.spec and not args.preset:
         parser.print_help()
         return 1
-    if args.jobs < 1:
-        print(
-            format_error_text("invalid-spec", f"--jobs must be >= 1, got {args.jobs}"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
-    if args.retries is not None and args.retries < 0:
-        print(
-            format_error_text(
-                "invalid-spec", f"--retries must be >= 0, got {args.retries}"
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+    _require_min("--jobs", args.jobs, 1)
+    _require_min("--retries", args.retries, 0)
     if args.scenario_timeout is not None and args.scenario_timeout <= 0:
-        print(
-            format_error_text(
-                "invalid-spec",
-                f"--scenario-timeout must be > 0, got {args.scenario_timeout}",
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        raise SpecError(f"--scenario-timeout must be > 0, got {args.scenario_timeout}")
     resilience = None
     if (
         args.retries is not None
@@ -419,66 +456,42 @@ def _sweep_main(argv: Sequence[str]) -> int:
             on_error=args.on_error or "record",
             scenario_timeout_s=args.scenario_timeout,
         )
-    try:
-        compile_cache = resolve_compile_cache(args.compile_cache, args.backend)
-    except ValueError as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    compile_cache = resolve_compile_cache(args.compile_cache, args.backend)
+    # Objective names are checked against the records after the run (any
+    # numeric column qualifies); an empty list is rejected before it.
+    objectives: Optional[List[str]] = None
+    if args.pareto:
+        objectives = [name.strip() for name in args.pareto.split(",") if name.strip()]
+        if not objectives:
+            raise SpecError(f"--pareto names no objective, got {args.pareto!r}")
 
+    axis_sets = _parse_axis_sets(args.axis_sets)
     try:
-        axis_sets = _parse_axis_sets(args.axis_sets)
         if args.preset:
             config, base_dir = preset_dict(args.preset), None
         else:
             config, base_dir = load_spec_dict(args.spec)
-        for name, values in axis_sets.items():
-            if name in config:
-                raise ValueError(
-                    f"--set {name} conflicts with the spec's own {name!r} "
-                    f"axis; drop one of the two"
-                )
-            config[name] = values
+        _merge_axis_sets(config, axis_sets, "spec")
         spec = SweepSpec.from_dict(config, base_dir=base_dir)
+        spec.check_nodes()
         scenarios = spec.expand()
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
+        raise SpecError(str(exc)) from exc
     if not scenarios:
-        print(
-            format_error_text("invalid-spec", "the spec expands into zero scenarios"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        raise SpecError("the spec expands into zero scenarios")
 
-    out_path = args.out
-    append = False
+    out_path = _store_path(args, "writes into the resumed file")
     skipped = 0
     existing_records: List = []
     if args.resume:
-        if args.out and Path(args.out).resolve() != Path(args.resume).resolve():
-            print(
-                format_error_text(
-                    "invalid-spec",
-                    "--resume writes into the resumed file; drop --out or "
-                    "pass the same path",
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_SPEC_ERROR
-        out_path = args.resume
-        append = True
         try:
             scenarios, skipped, existing_records, repaired = prepare_resume(
                 scenarios, args.resume
             )
         except (OSError, ValueError) as exc:
-            print(
-                format_error_text(
-                    "runtime", f"cannot read resume file {args.resume}: {exc}"
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_RUNTIME_ERROR
+            raise RuntimeJobError(
+                f"cannot read resume file {args.resume}: {exc}"
+            ) from exc
         if repaired:
             print(f"repaired torn tail of {args.resume} (crashed run)")
         if skipped:
@@ -490,15 +503,11 @@ def _sweep_main(argv: Sequence[str]) -> int:
     store = None
     if out_path:
         try:
-            store = open_store(out_path, append=append)
-        except ValueError as exc:
-            # Unknown format: the request itself is wrong.
-            print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-            return EXIT_SPEC_ERROR
-        except (OSError, RuntimeError) as exc:
-            # I/O failure or a live writer holding the store lock.
-            print(format_error_text("runtime", str(exc)), file=sys.stderr)
-            return EXIT_RUNTIME_ERROR
+            store = open_store(out_path, append=bool(args.resume))
+        except ValueError as exc:  # unknown format: the request itself is wrong
+            raise SpecError(str(exc)) from exc
+        except (OSError, RuntimeError) as exc:  # I/O, or a live writer's lock
+            raise RuntimeJobError(str(exc)) from exc
 
     engine = SweepEngine(
         jobs=args.jobs,
@@ -511,7 +520,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
     # accumulated when --pareto needs the full set.
     top_n = args.top if not args.quiet else 0
     top_heap: List = []  # (-total_carbon_g, sequence, record)
-    pareto_records: Optional[List] = [] if args.pareto else None
+    pareto_records: Optional[List] = [] if objectives else None
     sequence = itertools.count()
 
     def collect(record: Dict[str, Any]) -> None:
@@ -536,8 +545,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
     try:
         summary = engine.run(scenarios, store=store, on_record=collect)
     except OSError as exc:
-        print(format_error_text("runtime", str(exc)), file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+        raise RuntimeJobError(str(exc)) from exc
     finally:
         if store is not None:
             store.close()
@@ -582,13 +590,11 @@ def _sweep_main(argv: Sequence[str]) -> int:
                 f"{record['fab_source']:<14} {record['base']}"
             )
 
-    if pareto_records is not None:
-        objectives = [name.strip() for name in args.pareto.split(",") if name.strip()]
+    if objectives:
         try:
             front = pareto_front(rows_from_records(pareto_records), objectives)
         except KeyError as exc:
-            print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-            return EXIT_SPEC_ERROR
+            raise SpecError(str(exc)) from exc
         print(f"\nPareto front under {objectives} ({len(front)} points):")
         for row in front:
             values = ", ".join(f"{name}={row.objective(name):.4g}" for name in objectives)
@@ -610,6 +616,7 @@ def build_search_parser() -> argparse.ArgumentParser:
             "'constraints', a 'budget' and a 'seed'; a fixed seed gives "
             "bit-identical results on every backend and jobs count."
         ),
+        parents=[_evaluation_flags(), _store_flags()],
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument(
@@ -621,18 +628,6 @@ def build_search_parser() -> argparse.ArgumentParser:
         help=(
             "Search over a built-in sweep preset as the candidate space "
             "(see 'eco-chip sweep --list-presets')"
-        ),
-    )
-    parser.add_argument(
-        "--set",
-        dest="axis_sets",
-        action="append",
-        default=[],
-        metavar="AXIS=V1[,V2,...]",
-        help=(
-            "Add a registered axis to the candidate space, e.g. --set "
-            "lifetimes=2,4,6 or --set wafer_diameter_mm=300,450 "
-            "(repeatable; see 'eco-chip --list-axes')"
         ),
     )
     parser.add_argument(
@@ -655,27 +650,6 @@ def build_search_parser() -> argparse.ArgumentParser:
         help="Candidates per evaluation batch (overrides the spec)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="Worker processes (1 = serial, default)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["scalar", "batch"],
-        default="scalar",
-        help="Evaluation backend (bit-identical results; default: scalar)",
-    )
-    parser.add_argument(
-        "--compile-cache",
-        metavar="DIR",
-        default=None,
-        help=(
-            "Persistent on-disk compile cache for --backend batch "
-            "(defaults to $ECO_CHIP_COMPILE_CACHE when set)"
-        ),
-    )
-    parser.add_argument(
-        "--out", help="Stream evaluated records to this file (.jsonl/.ndjson or .csv)"
-    )
-    parser.add_argument(
         "--resume",
         metavar="FILE",
         help=(
@@ -684,27 +658,12 @@ def build_search_parser() -> argparse.ArgumentParser:
             "(implies --out FILE)"
         ),
     )
-    parser.add_argument(
-        "--no-cost",
-        action="store_true",
-        help="Omit the cost_usd (dollar-cost model) column from the records",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="Only print the run summary line"
-    )
     return parser
 
 
 def _search_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip search``; returns a process exit code."""
-    from pathlib import Path
-
     from repro.search import SearchSpec, run_search
-    from repro.serve.errors import (
-        EXIT_RUNTIME_ERROR,
-        EXIT_SPEC_ERROR,
-        format_error_text,
-    )
     from repro.sweep.engine import SweepEngine
     from repro.sweep.spec import load_spec_dict, preset_dict
     from repro.sweep.store import SweepRow
@@ -715,20 +674,11 @@ def _search_main(argv: Sequence[str]) -> int:
     if not args.spec and not args.space_preset:
         parser.print_help()
         return 1
-    if args.jobs < 1:
-        print(
-            format_error_text("invalid-spec", f"--jobs must be >= 1, got {args.jobs}"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
-    try:
-        compile_cache = resolve_compile_cache(args.compile_cache, args.backend)
-    except ValueError as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    _require_min("--jobs", args.jobs, 1)
+    compile_cache = resolve_compile_cache(args.compile_cache, args.backend)
 
+    axis_sets = _parse_axis_sets(args.axis_sets)
     try:
-        axis_sets = _parse_axis_sets(args.axis_sets)
         if args.space_preset:
             config, base_dir = {"space": preset_dict(args.space_preset)}, None
         else:
@@ -736,17 +686,11 @@ def _search_main(argv: Sequence[str]) -> int:
         if axis_sets:
             space = config.get("space")
             if not isinstance(space, dict):
-                raise ValueError(
+                raise SpecError(
                     "--set needs the spec's 'space' to be a sweep-spec "
                     "mapping to merge axes into"
                 )
-            for name, values in axis_sets.items():
-                if name in space:
-                    raise ValueError(
-                        f"--set {name} conflicts with the space's own "
-                        f"{name!r} axis; drop one of the two"
-                    )
-                space[name] = values
+            _merge_axis_sets(space, axis_sets, "space")
         for key, value in (
             ("budget", args.budget),
             ("strategy", args.strategy),
@@ -756,26 +700,11 @@ def _search_main(argv: Sequence[str]) -> int:
             if value is not None:
                 config[key] = value
         spec = SearchSpec.from_dict(config, base_dir=base_dir)
+        spec.space.check_nodes()
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
+        raise SpecError(str(exc)) from exc
 
-    out_path = args.out
-    resume = False
-    if args.resume:
-        if args.out and Path(args.out).resolve() != Path(args.resume).resolve():
-            print(
-                format_error_text(
-                    "invalid-spec",
-                    "--resume replays and extends the resumed file; drop "
-                    "--out or pass the same path",
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_SPEC_ERROR
-        out_path = args.resume
-        resume = True
-
+    out_path = _store_path(args, "replays and extends the resumed file")
     engine = SweepEngine(
         jobs=args.jobs,
         backend=args.backend,
@@ -783,13 +712,11 @@ def _search_main(argv: Sequence[str]) -> int:
         compile_cache=compile_cache,
     )
     try:
-        result = run_search(spec, engine, out=out_path, resume=resume)
+        result = run_search(spec, engine, out=out_path, resume=bool(args.resume))
     except ValueError as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
+        raise SpecError(str(exc)) from exc
     except (OSError, RuntimeError) as exc:
-        print(format_error_text("runtime", str(exc)), file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+        raise RuntimeJobError(str(exc)) from exc
 
     fraction = 100.0 * result.evaluated_fraction
     print(
@@ -851,7 +778,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "templates and finished sweeps are cached process-wide, so "
             "repeat traffic is served without re-evaluating."
         ),
+        parents=[_evaluation_flags()],
     )
+    parser.set_defaults(backend="batch")
     parser.add_argument("--host", default="127.0.0.1", help="Bind address (default: 127.0.0.1)")
     parser.add_argument(
         "--port", type=int, default=8437,
@@ -874,35 +803,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="Pending-job queue bound; full rejects with 503 (default: 32)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="Worker processes per sweep; 1 keeps evaluation in-process "
-             "and shares the compile cache (default: 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=["scalar", "batch"], default="batch",
-        help="Sweep backend jobs run on (default: batch)",
-    )
-    parser.add_argument(
-        "--compile-cache",
-        metavar="DIR",
-        default=None,
-        help=(
-            "Persistent on-disk compile cache: the shared compiled-template "
-            "cache is mirrored content-addressed under DIR, so a restarted "
-            "server starts warm (defaults to $ECO_CHIP_COMPILE_CACHE when "
-            "set; requires --backend batch)"
-        ),
-    )
-    parser.add_argument(
         "--quota", type=int, default=None, metavar="SCENARIOS",
         help=(
             "Per-client in-flight scenario budget (X-Client-Id header); "
             "submissions beyond it get 429 (default: unlimited)"
         ),
-    )
-    parser.add_argument(
-        "--no-cost", action="store_true",
-        help="Omit the cost_usd column from job records",
     )
     parser.add_argument(
         "--grace", type=float, default=30.0, metavar="SECONDS",
@@ -928,14 +833,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def _serve_main(argv: Sequence[str]) -> int:
     """Implementation of ``eco-chip serve``; returns a process exit code."""
-    from pathlib import Path
-
-    from repro.serve.errors import (
-        EXIT_RUNTIME_ERROR,
-        EXIT_SPEC_ERROR,
-        format_error_text,
-    )
-
     parser = build_serve_parser()
     args = parser.parse_args(argv)
 
@@ -944,39 +841,16 @@ def _serve_main(argv: Sequence[str]) -> int:
         ("--queue-size", args.queue_size, 1),
         ("--jobs", args.jobs, 1),
         ("--quota", args.quota, 1),
+        ("--grace", args.grace, 0),
     ):
-        if value is not None and value < minimum:
-            print(
-                format_error_text(
-                    "invalid-spec", f"{flag} must be >= {minimum}, got {value}"
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_SPEC_ERROR
-    if args.grace < 0:
-        print(
-            format_error_text(
-                "invalid-spec", f"--grace must be >= 0, got {args.grace}"
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        _require_min(flag, value, minimum)
     if not 0 <= args.port <= 65535:
-        print(
-            format_error_text("invalid-spec", f"--port must be 0..65535, got {args.port}"),
-            file=sys.stderr,
-        )
-        return EXIT_SPEC_ERROR
+        raise SpecError(f"--port must be 0..65535, got {args.port}")
 
     from repro.serve.app import create_server
     from repro.serve.quota import QuotaTracker
 
-    try:
-        compile_cache_dir = resolve_compile_cache(args.compile_cache, args.backend)
-    except ValueError as exc:
-        print(format_error_text("invalid-spec", str(exc)), file=sys.stderr)
-        return EXIT_SPEC_ERROR
-
+    compile_cache_dir = resolve_compile_cache(args.compile_cache, args.backend)
     quota = QuotaTracker(args.quota) if args.quota is not None else None
     try:
         server = create_server(
@@ -994,13 +868,7 @@ def _serve_main(argv: Sequence[str]) -> int:
             verbose=args.verbose,
         )
     except OSError as exc:
-        print(
-            format_error_text(
-                "runtime", f"cannot serve on {args.host}:{args.port}: {exc}"
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_RUNTIME_ERROR
+        raise RuntimeJobError(f"cannot serve on {args.host}:{args.port}: {exc}") from exc
     host, port = server.server_address[:2]
     print(
         f"serving sweeps on http://{host}:{port} "
@@ -1031,15 +899,18 @@ def _serve_main(argv: Sequence[str]) -> int:
     return 0
 
 
+_SUBCOMMANDS = {"sweep": _sweep_main, "search": _search_main, "serve": _serve_main}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     arguments = list(argv) if argv is not None else sys.argv[1:]
-    if arguments and arguments[0] == "sweep":
-        return _sweep_main(arguments[1:])
-    if arguments and arguments[0] == "serve":
-        return _serve_main(arguments[1:])
-    if arguments and arguments[0] == "search":
-        return _search_main(arguments[1:])
+    if arguments and arguments[0] in _SUBCOMMANDS:
+        try:
+            return _SUBCOMMANDS[arguments[0]](arguments[1:])
+        except ServeError as exc:
+            print(exc.text(), file=sys.stderr)
+            return exc.exit_code
     parser = build_parser()
     args = parser.parse_args(arguments)
 

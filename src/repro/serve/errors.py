@@ -1,11 +1,12 @@
 """Structured errors shared by the HTTP API and the CLI.
 
-Every failure the server reports — and every failure ``eco-chip sweep`` /
-``eco-chip serve`` print — goes through one vocabulary: a short machine
-error ``code`` plus a human message.  Over HTTP that renders as a JSON
-body (:meth:`ServeError.payload`) with the matching status; on a terminal
-it renders as one line (:func:`format_error_text`), so scripts can match
-the same codes in both places.
+Every failure the server reports — and every failure ``eco-chip sweep``,
+``search`` and ``serve`` print — goes through one vocabulary: a short
+machine error ``code`` plus a human message.  Over HTTP that renders as a
+JSON body (:meth:`ServeError.payload`) with the matching status; on a
+terminal it renders as one line (:meth:`ServeError.text`, which
+``repro.cli.main`` prints before exiting with :attr:`ServeError.exit_code`),
+so scripts can match the same codes in both places.
 
 Exit codes split the two failure classes the CLI can hit:
 

@@ -294,6 +294,7 @@ class JobManager:
         spec_dict = dict(spec_dict)
         try:
             spec = SweepSpec.from_dict(spec_dict)
+            spec.check_nodes(self.table)
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(str(exc)) from exc
         if spec.count() == 0:

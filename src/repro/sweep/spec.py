@@ -36,6 +36,7 @@ from repro.packaging.registry import (
     spec_from_dict,
 )
 from repro.technology.carbon_sources import carbon_intensity
+from repro.technology.nodes import DEFAULT_TECHNOLOGY_TABLE, TechnologyTable
 from repro.testcases.registry import get_testcase
 from repro.yamlish import parse_yamlish
 
@@ -549,6 +550,25 @@ class SweepSpec:
                 node_count = 1
             total += node_count * other_axes
         return total
+
+    def check_nodes(self, table: Optional[TechnologyTable] = None) -> None:
+        """Reject node values ``table`` cannot serve, before any evaluation.
+
+        Each distinct value of ``nodes`` and ``node_configs`` goes through
+        ``table.get`` — the lookup evaluation uses — so interpolated nodes
+        inside the tabulated range pass (default table:
+        :data:`~repro.technology.nodes.DEFAULT_TECHNOLOGY_TABLE`).
+
+        Raises:
+            ValueError: a node outside the table's range.
+        """
+        table = table if table is not None else DEFAULT_TECHNOLOGY_TABLE
+        distinct = set(self.nodes).union(*self.node_configs)
+        for node in sorted(distinct):
+            try:
+                table.get(node)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from exc
 
 
 def preset_dict(name: str) -> Dict[str, Any]:

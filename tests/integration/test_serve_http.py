@@ -238,6 +238,20 @@ class TestServeErrors:
             assert payload["error"]["code"] == "invalid-spec"
             assert "finite" in payload["error"]["message"]
 
+    def test_node_outside_the_technology_table_is_400(self, server):
+        _, base = server
+        status, payload, _ = request(
+            "POST",
+            f"{base}/v1/sweeps",
+            {"testcases": ["ga102-3chiplet"], "nodes": [1], "packaging": ["rdl_fanout"]},
+        )
+        assert status == 400
+        assert payload["error"] == {
+            "code": "invalid-spec",
+            "message": "node 1.0nm outside tabulated range [3.0nm, 65.0nm]; "
+            "register it explicitly",
+        }
+
     def test_unknown_pareto_objective_is_400(self, server):
         _, base = server
         _, job, _ = request("POST", f"{base}/v1/sweeps", SPEC)

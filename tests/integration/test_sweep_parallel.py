@@ -140,3 +140,12 @@ class TestSweepCli:
     def test_unknown_pareto_objective_fails(self, capsys):
         code = main(["sweep", "--preset", "ga102-quick", "--pareto", "coolness"])
         assert code == 2
+
+    def test_empty_pareto_objective_list_fails_before_evaluating(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        code = main(["sweep", "--preset", "ga102-quick", "--pareto", ",", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: [invalid-spec] --pareto names no objective, got ','\n"
+        )
+        assert not out.exists()
