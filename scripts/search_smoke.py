@@ -11,7 +11,13 @@ installed ``eco-chip search`` CLI and asserts:
    (computed in-process over the full grid on the batch backend);
 3. every stored row carries a ``search_round`` column;
 4. re-running with ``--resume`` on the finished store is a byte-exact
-   no-op — no budget is re-spent.
+   no-op — no budget is re-spent;
+5. a small ``pareto_refine`` search over a space mixing ``silicon_bridge``
+   with adjacency-free packagings writes byte-identical stores on
+   ``--backend scalar`` and ``--backend batch``.  The scalar backend
+   floorplans every candidate in full (``EcoChip.estimate``); the batch
+   compiler takes the float-only outline pass wherever adjacencies are not
+   needed, so this pins the outline against the full floorplan.
 
 Run with::
 
@@ -122,9 +128,55 @@ def main() -> int:
         print("FAIL: resuming a finished search modified the store", file=sys.stderr)
         return 1
     print("resume: finished store replayed as a byte-exact no-op")
+
+    if not backends_agree(work_dir):
+        return 1
     print("search smoke OK")
     shutil.rmtree(work_dir, ignore_errors=True)
     return 0
+
+
+def backends_agree(work_dir: Path) -> bool:
+    """``pareto_refine`` on both backends must write the same bytes."""
+    config = {
+        "name": "search-smoke-backends",
+        "space": {
+            "testcases": ["ga102-4chiplet"],
+            "nodes": [7, 10, 14],
+            "packaging": ["rdl_fanout", "silicon_bridge", "passive_interposer"],
+            "lifetimes": [2, 4],
+        },
+        "objectives": ["carbon", "cost"],
+        "budget": 96,
+        "batch_size": 16,
+        "seed": 3,
+        "strategy": "pareto_refine",
+    }
+    spec_path = work_dir / "backends.json"
+    spec_path.write_text(json.dumps(config))
+    stores = {}
+    for backend in ("scalar", "batch"):
+        stores[backend] = work_dir / f"backends-{backend}.jsonl"
+        command = search_command() + [
+            "--spec", str(spec_path), "--backend", backend,
+            "--out", str(stores[backend]), "--quiet",
+        ]
+        result = subprocess.run(command, capture_output=True, text=True, timeout=600)
+        if result.returncode != 0:
+            print(result.stderr, file=sys.stderr)
+            print(f"FAIL: {backend} search CLI exited {result.returncode}", file=sys.stderr)
+            return False
+    scalar, batch = (stores[b].read_bytes() for b in ("scalar", "batch"))
+    if scalar != batch:
+        print(
+            "FAIL: pareto_refine stores differ between --backend scalar and "
+            "--backend batch",
+            file=sys.stderr,
+        )
+        return False
+    rows = scalar.count(b"\n")
+    print(f"backends: scalar and batch pareto_refine stores identical ({rows} rows)")
+    return True
 
 
 if __name__ == "__main__":

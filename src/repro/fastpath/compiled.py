@@ -23,10 +23,19 @@ update both sides and rely on the parity tests in
 The compiler shares work across templates through layered caches: base
 systems, per-(chiplet, node) areas, floorplans keyed by their area signature
 (different node assignments that produce the same chiplet areas share one
-floorplan — adjacency extraction runs lazily, only for architectures whose
-:attr:`~repro.packaging.base.PackagingModel.needs_adjacencies` flag is
-set), packaging models and per-node PHY/router figures per spec, and
+floorplan), packaging models and per-node PHY/router figures per spec, and
 per-die yield/wafer terms.
+
+The floorplan layer runs the cheap pass wherever it can.  The cost model's
+package area and every architecture whose
+:attr:`~repro.packaging.base.PackagingModel.needs_adjacencies` flag is
+unset only read the outline, so they get
+:meth:`~repro.floorplan.slicing.SlicingFloorplanner.outline` — a float-only
+fold with no tree, placements or rectangles, bit-identical in every area
+field.  Only adjacency consumers (the silicon bridge) pay for the full
+:meth:`~repro.floorplan.slicing.SlicingFloorplanner.floorplan`; an
+outline-only entry (in memory or on disk) that is later needed with
+adjacencies is floorplanned anew in full, never upgraded in place.
 
 Per-architecture closed forms live with their models: every
 :class:`~repro.packaging.base.PackagingModel` implements
@@ -316,8 +325,10 @@ class TemplateCompiler:
         # (packaging spec, node) -> PHY / router communication power figures
         self._phy_powers: Dict[Tuple[Any, float], float] = {}
         self._router_powers: Dict[Tuple[Any, float], float] = {}
-        # (spacing, area items) -> (floorplan, has adjacencies), shared
-        # across templates: equal area signatures floorplan identically.
+        # (spacing, area items) -> (floorplan, full?), shared across
+        # templates: equal area signatures floorplan identically.  A full
+        # entry carries placements and adjacencies; an outline-only one
+        # (SlicingFloorplanner.outline) carries neither.
         self._floorplans: Dict[
             Tuple[float, Tuple[Tuple[str, float], ...]], Tuple[FloorplanResult, bool]
         ] = {}
@@ -346,29 +357,26 @@ class TemplateCompiler:
         areas: Dict[str, float],
         need_adjacencies: bool,
     ) -> FloorplanResult:
+        """The (cached) floorplan of ``areas``: an outline unless adjacencies
+        are needed, in which case an outline-only entry is floorplanned anew
+        in full."""
         key = (planner.spacing_mm, tuple(areas.items()))
         entry = self._floorplans.get(key)
+        if entry is not None and (entry[1] or not need_adjacencies):
+            return entry[0]
+        # Floorplans are pure geometry: independent of config and table, so
+        # their disk entries are keyed on the signature alone and shared
+        # across every compiler mounting the directory.
         cache = self.persistent_cache
-        if entry is None:
-            # Floorplans are pure geometry: independent of config and table,
-            # so their disk entries are keyed on the signature alone and
-            # shared across every compiler mounting the directory.
+        disk_key = key + (need_adjacencies,)
+        floorplan = cache.load("floorplan", None, disk_key) if cache is not None else None
+        if floorplan is None:
+            floorplan = (
+                planner.floorplan(areas) if need_adjacencies else planner.outline(areas)
+            )
             if cache is not None:
-                cached = cache.load("floorplan", None, key + (need_adjacencies,))
-                if cached is not None:
-                    self._floorplans[key] = (cached, need_adjacencies)
-                    return cached
-            floorplan = planner.floorplan(areas, adjacencies=need_adjacencies)
-            self._floorplans[key] = (floorplan, need_adjacencies)
-            if cache is not None:
-                cache.store("floorplan", None, key + (need_adjacencies,), floorplan)
-            return floorplan
-        floorplan, has_adjacencies = entry
-        if need_adjacencies and not has_adjacencies:
-            floorplan = planner.adjacencies_of(floorplan)
-            self._floorplans[key] = (floorplan, True)
-            if cache is not None:
-                cache.store("floorplan", None, key + (True,), floorplan)
+                cache.store("floorplan", None, disk_key, floorplan)
+        self._floorplans[key] = (floorplan, need_adjacencies)
         return floorplan
 
     def _packaging_model(self, spec: Any) -> PackagingModel:

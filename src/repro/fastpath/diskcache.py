@@ -16,7 +16,8 @@ Design:
   entry kind, a *salt* (estimator config, technology-table content hash via
   :func:`repro.technology.nodes.table_signature`, cost flag) and the same
   canonical key the in-memory caches use (:data:`TemplateKey` signatures
-  for templates, ``(spacing, area items, adjacency flag)`` for floorplans).
+  for templates, ``(spacing, area items, adjacency flag)`` for floorplans;
+  a false flag addresses a placement-less outline).
   There is no index file and nothing to lock.
 * **Versioned.**  The digest also folds in :data:`CACHE_FORMAT_VERSION`
   and :data:`repro.plugins.PLUGIN_API_VERSION`, so a format change, a
@@ -51,8 +52,10 @@ from repro.plugins import PLUGIN_API_VERSION
 __all__ = ["CACHE_FORMAT_VERSION", "DiskCompileCache", "as_disk_cache"]
 
 #: Bump when the on-disk entry layout (or the meaning of cached values)
-#: changes; old entries become unreachable, not misread.
-CACHE_FORMAT_VERSION = 1
+#: changes; old entries become unreachable, not misread.  Version 2: an
+#: adjacency-free floorplan entry is a placement-less outline, which a
+#: version-1 reader would have "upgraded" to empty adjacencies.
+CACHE_FORMAT_VERSION = 2
 
 
 @lru_cache(maxsize=4096)

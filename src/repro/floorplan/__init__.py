@@ -17,7 +17,9 @@ floorplan:
 
 The resulting floorplan provides the package/interposer area, the whitespace
 fraction, per-chiplet placements and the chiplet adjacency list used to place
-silicon bridges and NoC routers.
+silicon bridges and NoC routers.  Callers that need only the area take
+:meth:`SlicingFloorplanner.outline`, which folds step 3 into bare floats and
+returns the same area fields bit for bit without placements.
 """
 
 from repro.floorplan.partition import PartitionNode, build_partition_tree

@@ -96,26 +96,41 @@ def build_partition_tree(chiplet_areas: Dict[str, float]) -> PartitionNode:
         The root :class:`PartitionNode` of a full binary tree whose leaves
         are exactly the given chiplets.
     """
+    return _build(ordered_areas(chiplet_areas))
+
+
+def ordered_areas(chiplet_areas: Dict[str, float]) -> List[Tuple[str, float]]:
+    """Validated ``(name, area)`` items by decreasing area, then name.
+
+    The order the partition tree (and the floorplanner's outline pass, which
+    folds the same partition without building it) splits.
+    """
     if not chiplet_areas:
         raise ValueError("at least one chiplet is required")
     for name, area in chiplet_areas.items():
         if area <= 0:
             raise ValueError(f"chiplet {name!r} has non-positive area {area}")
-
-    ordered = sorted(chiplet_areas.items(), key=lambda item: (-item[1], item[0]))
-    return _build(ordered)
+    return sorted(chiplet_areas.items(), key=lambda item: (-item[1], item[0]))
 
 
-def _build(ordered: Sequence[Tuple[str, float]]) -> PartitionNode:
-    if len(ordered) == 1:
-        name, area = ordered[0]
-        return PartitionNode(chiplet=name, total_area=area)
+def split(
+    ordered: Sequence[Tuple[str, float]],
+) -> Tuple[Sequence[Tuple[str, float]], Sequence[Tuple[str, float]]]:
+    """The two sides one partition level splits ``ordered`` (len >= 2) into."""
     left_items, right_items = _balanced_split(ordered)
     # The greedy split always leaves both sides non-empty for len >= 2, but
     # guard against degenerate weights anyway.
     if not left_items or not right_items:
         midpoint = max(1, len(ordered) // 2)
         left_items, right_items = list(ordered[:midpoint]), list(ordered[midpoint:])
+    return left_items, right_items
+
+
+def _build(ordered: Sequence[Tuple[str, float]]) -> PartitionNode:
+    if len(ordered) == 1:
+        name, area = ordered[0]
+        return PartitionNode(chiplet=name, total_area=area)
+    left_items, right_items = split(ordered)
     left = _build(left_items)
     right = _build(right_items)
     return PartitionNode(

@@ -17,6 +17,20 @@ Processes the partition tree produced by
 The floorplan also reports chiplet adjacencies (pairs of chiplets whose
 placements abut across a spacing channel) which the packaging models use to
 count silicon bridges and place NoC routers.
+
+Two passes share the partition and the orientation rule:
+
+* :meth:`SlicingFloorplanner.floorplan` builds the partition tree, a
+  placement per chiplet and (optionally) the adjacency list.  It is the
+  reference the estimator uses.
+* :meth:`SlicingFloorplanner.outline` folds the same partition straight
+  into ``(width, height)`` floats — no tree nodes, blocks, placements or
+  rectangles per level — with the same operation order, so its outline,
+  package area, chiplet area and whitespace fields equal ``floorplan()``'s
+  bit for bit.  Its result carries no placements and no adjacencies.  Every
+  consumer that only needs the package area (the dollar-cost model, every
+  packaging model without ``needs_adjacencies``, the template compiler's
+  cache of them) takes this pass.
 """
 
 from __future__ import annotations
@@ -24,9 +38,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.floorplan.partition import PartitionNode, build_partition_tree
+from repro.floorplan.partition import (
+    PartitionNode,
+    build_partition_tree,
+    ordered_areas,
+    split,
+)
 from repro.floorplan.rect import Rect
 
 #: Default chiplet-to-chiplet spacing constraint in mm (Table I: 0.1–1 mm).
@@ -46,7 +65,8 @@ class FloorplanResult:
     """Output of the slicing floorplanner.
 
     Attributes:
-        placements: Per-chiplet placement rectangles (package coordinates).
+        placements: Per-chiplet placement rectangles (package coordinates);
+            empty for an :meth:`SlicingFloorplanner.outline` result.
         outline: Bounding box of the whole assembly; its area is the package
             substrate / interposer area used in the packaging CFP models.
         chiplet_area_mm2: Sum of chiplet silicon areas.
@@ -54,7 +74,8 @@ class FloorplanResult:
         whitespace_area_mm2: Outline area not covered by chiplets.
         whitespace_fraction: Whitespace as a fraction of the package area.
         adjacencies: Pairs of chiplet names that abut (share an interface
-            across a spacing channel), with the shared edge length in mm.
+            across a spacing channel), with the shared edge length in mm;
+            empty unless requested from :meth:`SlicingFloorplanner.floorplan`.
     """
 
     placements: Tuple[Placement, ...]
@@ -84,10 +105,6 @@ class _Block:
     width: float
     height: float
     placements: Tuple[Placement, ...]
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
 
 class SlicingFloorplanner:
@@ -124,29 +141,43 @@ class SlicingFloorplanner:
         :meth:`adjacencies_of` to fill it in later.  Geometry is identical
         either way.
         """
-        tree = build_partition_tree(chiplet_areas)
-        block = self._process(tree)
-        outline = Rect(0.0, 0.0, block.width, block.height)
-        chiplet_area = sum(chiplet_areas.values())
-        package_area = outline.area
-        whitespace = max(0.0, package_area - chiplet_area)
-        adjacency_pairs = self._adjacencies(block.placements) if adjacencies else ()
-        return FloorplanResult(
-            placements=block.placements,
-            outline=outline,
-            chiplet_area_mm2=chiplet_area,
-            package_area_mm2=package_area,
-            whitespace_area_mm2=whitespace,
-            whitespace_fraction=whitespace / package_area if package_area > 0 else 0.0,
-            adjacencies=adjacency_pairs,
+        block = self._process(build_partition_tree(chiplet_areas))
+        return self._result(
+            chiplet_areas,
+            block.width,
+            block.height,
+            block.placements,
+            self._adjacencies(block.placements) if adjacencies else (),
         )
+
+    def outline(self, chiplet_areas: Dict[str, float]) -> FloorplanResult:
+        """The package outline and whitespace of :meth:`floorplan`, without
+        placements.
+
+        Folds the partition of ``chiplet_areas`` bottom-up as bare
+        ``(width, height)`` floats.  The area fields equal
+        ``floorplan(chiplet_areas)``'s bit for bit; ``placements`` and
+        ``adjacencies`` are empty, and :meth:`adjacencies_of` refuses the
+        result.
+        """
+        width, height = self._fold(ordered_areas(chiplet_areas))
+        return self._result(chiplet_areas, width, height, (), ())
 
     def adjacencies_of(self, floorplan: FloorplanResult) -> FloorplanResult:
         """A copy of ``floorplan`` with the adjacency pairs filled in.
 
         Computes the same pairs :meth:`floorplan` would have produced with
         ``adjacencies=True``; already-filled results are returned unchanged.
+
+        Raises:
+            ValueError: ``floorplan`` has no placements (an
+                :meth:`outline` result), so its pairs cannot be derived.
         """
+        if not floorplan.placements:
+            raise ValueError(
+                "floorplan has no placements (an outline); floorplan() the "
+                "chiplets in full to derive adjacencies"
+            )
         if floorplan.adjacencies:
             return floorplan
         return dataclasses.replace(
@@ -155,50 +186,89 @@ class SlicingFloorplanner:
 
     def package_area_mm2(self, chiplet_areas: Dict[str, float]) -> float:
         """Convenience wrapper returning only the package/interposer area."""
-        return self.floorplan(chiplet_areas, adjacencies=False).package_area_mm2
+        return self.outline(chiplet_areas).package_area_mm2
+
+    @staticmethod
+    def _result(
+        chiplet_areas: Dict[str, float],
+        width: float,
+        height: float,
+        placements: Tuple[Placement, ...],
+        adjacencies: Tuple[Tuple[str, str, float], ...],
+    ) -> FloorplanResult:
+        outline = Rect(0.0, 0.0, width, height)
+        chiplet_area = sum(chiplet_areas.values())
+        package_area = outline.area
+        whitespace = max(0.0, package_area - chiplet_area)
+        return FloorplanResult(
+            placements=placements,
+            outline=outline,
+            chiplet_area_mm2=chiplet_area,
+            package_area_mm2=package_area,
+            whitespace_area_mm2=whitespace,
+            whitespace_fraction=whitespace / package_area if package_area > 0 else 0.0,
+            adjacencies=adjacencies,
+        )
 
     # -- tree processing -----------------------------------------------------------
     def _process(self, node: PartitionNode) -> _Block:
         if node.is_leaf:
-            return self._leaf_block(node)
+            width, height = self._leaf(node.total_area)
+            placement = Placement(
+                name=node.chiplet or "", rect=Rect(0.0, 0.0, width, height)
+            )
+            return _Block(width=width, height=height, placements=(placement,))
         assert node.left is not None and node.right is not None
         left = self._process(node.left)
         right = self._process(node.right)
-        # Decide the cut orientation from the candidate bounding boxes alone
-        # (the same width/height/area arithmetic _combine and _Block.area
-        # perform), then build the placements only for the winner — the
-        # loser's translated placement tuples were pure allocation waste.
-        gap = self.spacing_mm
-        horizontal_area = (left.width + gap + right.width) * max(left.height, right.height)
-        vertical_area = max(left.width, right.width) * (left.height + gap + right.height)
-        return self._combine(left, right, vertical_cut=horizontal_area <= vertical_area)
+        # Decide the cut orientation from the candidate bounding boxes alone,
+        # then translate only the winner's placements.
+        vertical_cut, width, height = self._cut(
+            left.width, left.height, right.width, right.height
+        )
+        if vertical_cut:
+            dx, dy = left.width + self.spacing_mm, 0.0
+        else:
+            dx, dy = 0.0, left.height + self.spacing_mm
+        shifted = tuple(
+            Placement(p.name, p.rect.translated(dx, dy)) for p in right.placements
+        )
+        return _Block(width=width, height=height, placements=left.placements + shifted)
 
-    def _leaf_block(self, node: PartitionNode) -> _Block:
-        area = node.total_area
+    def _fold(self, ordered: Sequence[Tuple[str, float]]) -> Tuple[float, float]:
+        """``(width, height)`` of the partition of ``ordered``: :meth:`_process`
+        over the same split, without the tree or any placement."""
+        if len(ordered) == 1:
+            return self._leaf(ordered[0][1])
+        left_items, right_items = split(ordered)
+        left_width, left_height = self._fold(left_items)
+        right_width, right_height = self._fold(right_items)
+        _, width, height = self._cut(left_width, left_height, right_width, right_height)
+        return width, height
+
+    def _leaf(self, area: float) -> Tuple[float, float]:
+        """Bounding box of one chiplet at the configured aspect ratio."""
         width = math.sqrt(area * self.aspect_ratio)
         height = area / width if width > 0 else 0.0
-        placement = Placement(name=node.chiplet or "", rect=Rect(0.0, 0.0, width, height))
-        return _Block(width=width, height=height, placements=(placement,))
+        return width, height
 
-    def _combine(self, left: _Block, right: _Block, vertical_cut: bool) -> _Block:
-        """Place ``right`` next to (or above) ``left`` with the spacing gap."""
+    def _cut(
+        self, left_width: float, left_height: float, right_width: float, right_height: float
+    ) -> Tuple[bool, float, float]:
+        """``(vertical cut?, width, height)`` of the smaller combined box.
+
+        A vertical cut puts the right child beside the left one (widths add
+        across the spacing gap), a horizontal cut stacks it on top; a tie
+        keeps the vertical cut.
+        """
         gap = self.spacing_mm
-        if vertical_cut:
-            # Side by side: widths add, height is the max of the two.
-            width = left.width + gap + right.width
-            height = max(left.height, right.height)
-            shifted = tuple(
-                Placement(p.name, p.rect.translated(left.width + gap, 0.0))
-                for p in right.placements
-            )
-        else:
-            width = max(left.width, right.width)
-            height = left.height + gap + right.height
-            shifted = tuple(
-                Placement(p.name, p.rect.translated(0.0, left.height + gap))
-                for p in right.placements
-            )
-        return _Block(width=width, height=height, placements=left.placements + shifted)
+        side_width = left_width + gap + right_width
+        side_height = max(left_height, right_height)
+        stack_width = max(left_width, right_width)
+        stack_height = left_height + gap + right_height
+        if side_width * side_height <= stack_width * stack_height:
+            return True, side_width, side_height
+        return False, stack_width, stack_height
 
     # -- adjacency extraction ---------------------------------------------------------
     def _adjacencies(

@@ -137,6 +137,10 @@ def run_search(
 
     Returns:
         A :class:`SearchResult`.
+
+    Raises:
+        RuntimeError: with ``resume``, ``out`` cannot be read back (an
+            I/O error, or a corrupt or non-object line before its tail).
     """
     if resume and out is None:
         raise ValueError("resume=True needs an out file to resume from")
@@ -147,8 +151,11 @@ def run_search(
 
     stored: Dict[int, Record] = {}
     if resume:
-        repair_torn_tail(out)
-        stored = records_by_scenario(out)
+        try:
+            repair_torn_tail(out)
+            stored = records_by_scenario(out)
+        except (OSError, ValueError) as exc:
+            raise RuntimeError(f"cannot read resume file {out}: {exc}") from exc
     store = open_store(out, append=resume) if out is not None else None
 
     # On the single-process batch backend, mount one shared BatchEstimator

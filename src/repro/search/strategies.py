@@ -19,7 +19,7 @@ order; both are required for the bit-identical-across-backends guarantee.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.explorer import front_delta, pareto_front
 
@@ -59,7 +59,14 @@ class SearchContext:
         scores: ``{grid index: weighted cost}``; ``inf`` marks error
             records, missing metrics and constraint violations.
         front: Sorted grid indices of the current Pareto front over the
-            spec's objective metrics (feasible records only).
+            spec's objective metrics (feasible records only).  Maintained
+            incrementally: each batch's front is computed over the previous
+            front plus the batch, not over every record so far.  That is
+            exact — Pareto dominance is a strict partial order, so a record
+            that has left the front stays dominated by some front member
+            and can never re-enter, and exact duplicates never dominate
+            each other, so both stay.  A batch that re-scores an
+            already-ingested index falls back to a full recompute.
         round: Batches ingested so far (== the next batch's
             ``search_round`` stamp).
         best_index: Grid index of the lowest-cost feasible record (ties
@@ -101,6 +108,13 @@ class SearchContext:
         self, batch_records: Mapping[int, Mapping[str, Any]]
     ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Absorb one evaluated batch; returns the front's ``(entered, left)``."""
+        # The new front is the front of (previous front + this batch) unless
+        # the batch re-scores an index already seen: a replaced front
+        # member's old record may have been hiding others, so recompute.
+        if any(index in self.records for index in batch_records):
+            candidates = None
+        else:
+            candidates = set(self.front).union(batch_records)
         for index in sorted(batch_records):
             record = batch_records[index]
             score = self.spec.score(record)
@@ -116,15 +130,18 @@ class SearchContext:
                 self.best_score = score
                 self.best_index = index
         previous = self.front
-        self.front = self._compute_front()
+        self.front = self._compute_front(
+            self.records if candidates is None else candidates
+        )
         self.round += 1
         return front_delta(previous, self.front)
 
-    def _compute_front(self) -> Tuple[int, ...]:
+    def _compute_front(self, indices: Iterable[int]) -> Tuple[int, ...]:
+        """Sorted front members among the feasible records of ``indices``."""
         metrics = self.spec.metric_names
         points = [
             _FrontPoint(index, self.records[index])
-            for index in sorted(self.records)
+            for index in sorted(indices)
             if self.scores[index] < float("inf")
         ]
         if not points:

@@ -451,10 +451,21 @@ def iter_records(path: PathLike) -> Iterator[Dict[str, Any]]:
                 yield {key: _revive_csv_value(value) for key, value in row.items()}
         return
     with open(target, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                yield _as_record(json.loads(line), number)
+
+
+def _as_record(record: Any, number: int) -> Dict[str, Any]:
+    """The decoded JSONL line ``number`` (1-based), which must be an object.
+
+    Raises:
+        ValueError: the line decoded to an array, number, string or null.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"line {number} is not a JSON object")
+    return record
 
 
 def load_records(path: PathLike) -> List[Dict[str, Any]]:
@@ -525,18 +536,21 @@ def _iter_jsonl_tolerating_torn_tail(path: Path) -> Iterator[Dict[str, Any]]:
     """
     with open(path, "r", encoding="utf-8") as handle:
         previous: Optional[str] = None
-        for line in handle:
+        previous_number = 0
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             if previous is not None:
-                yield json.loads(previous)  # strict: not the last line
-            previous = line
+                # strict: not the last line
+                yield _as_record(json.loads(previous), previous_number)
+            previous, previous_number = line, number
         if previous is not None:
             try:
-                yield json.loads(previous)
+                record = json.loads(previous)
             except json.JSONDecodeError:
                 return  # torn tail of a crashed run: treat as unwritten
+            yield _as_record(record, previous_number)
 
 
 def _iter_csv_tolerating_torn_row(path: Path) -> Iterator[Dict[str, Any]]:

@@ -295,7 +295,9 @@ class TechnologyTable:
     # -- interpolation -------------------------------------------------------
     def _interpolate(self, feature_nm: float) -> TechnologyNode:
         sizes = self.feature_sizes
-        if feature_nm < sizes[0] or feature_nm > sizes[-1]:
+        # NaN compares false with every size, so it is rejected explicitly
+        # rather than leaking into the bracket search below.
+        if math.isnan(feature_nm) or feature_nm < sizes[0] or feature_nm > sizes[-1]:
             raise KeyError(
                 f"node {feature_nm}nm outside tabulated range "
                 f"[{sizes[0]}nm, {sizes[-1]}nm]; register it explicitly"

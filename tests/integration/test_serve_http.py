@@ -251,6 +251,30 @@ class TestServeErrors:
             "message": "node 1.0nm outside tabulated range [3.0nm, 65.0nm]; "
             "register it explicitly",
         }
+        # Non-finite nodes (the NaN/Infinity JSON extension) are rejected
+        # with the same range message instead of failing mid-lookup.
+        for node, text in ((float("nan"), "nan"), (float("inf"), "inf")):
+            status, payload, _ = request(
+                "POST",
+                f"{base}/v1/sweeps",
+                {"testcases": ["ga102-3chiplet"], "nodes": [node]},
+            )
+            assert status == 400
+            assert payload["error"] == {
+                "code": "invalid-spec",
+                "message": f"node {text}nm outside tabulated range [3.0nm, 65.0nm]; "
+                "register it explicitly",
+            }
+        status, payload, _ = request(
+            "POST",
+            f"{base}/v1/sweeps",
+            {"testcases": ["ga102-3chiplet"], "nodes": [float("-inf")]},
+        )
+        assert status == 400
+        assert payload["error"] == {
+            "code": "invalid-spec",
+            "message": "technology node must be positive, got -inf",
+        }
 
     def test_unknown_pareto_objective_is_400(self, server):
         _, base = server

@@ -90,3 +90,43 @@ class TestFloorplanProperties:
         for a, b, edge in result.adjacencies:
             assert a in areas and b in areas and a != b
             assert edge > 0
+
+
+#: The FloorplanResult fields the outline pass shares with floorplan().
+AREA_FIELDS = (
+    "outline",
+    "chiplet_area_mm2",
+    "package_area_mm2",
+    "whitespace_area_mm2",
+    "whitespace_fraction",
+)
+
+
+class TestOutlinePass:
+    """SlicingFloorplanner.outline folds the same partition as floorplan()."""
+
+    @given(
+        areas=st.dictionaries(
+            keys=st.text(alphabet="abcdefghij", min_size=1, max_size=4),
+            # Wide magnitudes plus integer-valued areas: ties between equal
+            # areas exercise the name tie-break of the partition order.
+            values=st.one_of(
+                st.floats(min_value=1e-3, max_value=5e3, allow_nan=False),
+                st.integers(min_value=1, max_value=60).map(float),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        spacing=spacings,
+        aspect_ratio=st.floats(min_value=0.1, max_value=10.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_area_fields_equal_floorplan_bit_for_bit(self, areas, spacing, aspect_ratio):
+        planner = SlicingFloorplanner(spacing_mm=spacing, aspect_ratio=aspect_ratio)
+        full = planner.floorplan(areas)
+        outline = planner.outline(areas)
+        for field in AREA_FIELDS:
+            # repr() tells apart values == would not (-0.0 vs 0.0).
+            assert repr(getattr(outline, field)) == repr(getattr(full, field)), field
+        assert planner.package_area_mm2(areas) == full.package_area_mm2
+        assert outline.placements == () and outline.adjacencies == ()

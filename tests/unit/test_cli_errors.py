@@ -5,6 +5,7 @@ stderr line and no traceback."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 
@@ -41,6 +42,16 @@ UNKNOWN_OBJECTIVE = (
     "'silicon_area_mm2', 'system', 'system_volume', 'total_carbon_g']\""
 )
 
+NODE_NAN = (
+    "error: [invalid-spec] node nannm outside tabulated range [3.0nm, 65.0nm]; "
+    "register it explicitly"
+)
+NODE_INF = (
+    "error: [invalid-spec] node infnm outside tabulated range [3.0nm, 65.0nm]; "
+    "register it explicitly"
+)
+NODE_NEG_INF = "error: [invalid-spec] technology node must be positive, got -inf"
+
 QUICK = ["--preset", "ga102-quick"]
 SPACE = ["--space-preset", "ga102-quick"]
 
@@ -63,6 +74,9 @@ CASES = [
      "error: [invalid-spec] [Errno 2] No such file or directory: '{tmp}/ghost.json'"),
     (["sweep", "--spec", "{tmp}/packaging5.json"], 2,
      "error: [invalid-spec] packaging entries must be names or dicts, got 5"),
+    (["sweep", "--spec", "{tmp}/nodes_nan.json"], 2, NODE_NAN),
+    (["sweep", "--spec", "{tmp}/nodes_inf.json"], 2, NODE_INF),
+    (["sweep", "--spec", "{tmp}/nodes_neg_inf.json"], 2, NODE_NEG_INF),
     (["sweep", *QUICK, "--set", "wafer_diameter_mm"], 2,
      "error: [invalid-spec] --set expects AXIS=V1[,V2,...], got "
      "'wafer_diameter_mm' (see 'eco-chip --list-axes')"),
@@ -81,6 +95,9 @@ CASES = [
     (["sweep", *QUICK, "--resume", "{tmp}/corrupt.jsonl"], 3,
      "error: [runtime] cannot read resume file {tmp}/corrupt.jsonl: Expecting "
      "value: line 1 column 1 (char 0)"),
+    (["sweep", *QUICK, "--resume", "{tmp}/array.jsonl"], 3,
+     "error: [runtime] cannot read resume file {tmp}/array.jsonl: line 2 is not "
+     "a JSON object"),
     (["sweep", *QUICK, "--out", "{tmp}/r.parquet"], 2, UNKNOWN_FORMAT),
     (["sweep", *QUICK, "--out", "{tmp}/held.jsonl"], 3, STORE_LOCKED),
     (["sweep", *QUICK, "--out", "{tmp}/adir.jsonl"], 3,
@@ -92,6 +109,9 @@ CASES = [
      "error: [invalid-spec] --jobs must be >= 1, got 0"),
     (["search", *SPACE, "--compile-cache", "{tmp}/cc"], 2, COMPILE_CACHE_SCALAR),
     (["search", "--space-preset", "warp"], 2, UNKNOWN_PRESET),
+    (["search", "--spec", "{tmp}/search_nodes_nan.json"], 2, NODE_NAN),
+    (["search", "--spec", "{tmp}/search_nodes_inf.json"], 2, NODE_INF),
+    (["search", "--spec", "{tmp}/search_nodes_neg_inf.json"], 2, NODE_NEG_INF),
     (["search", "--spec", "{tmp}/nospace.json", "--set", "duty_cycle=0.1"], 2,
      "error: [invalid-spec] --set needs the spec's 'space' to be a sweep-spec "
      "mapping to merge axes into"),
@@ -101,6 +121,12 @@ CASES = [
     (["search", *SPACE, "--resume", "{tmp}/a.jsonl", "--out", "{tmp}/b.jsonl"], 2,
      "error: [invalid-spec] --resume replays and extends the resumed file; drop "
      "--out or pass the same path"),
+    (["search", *SPACE, "--resume", "{tmp}/corrupt.jsonl"], 3,
+     "error: [runtime] cannot read resume file {tmp}/corrupt.jsonl: Expecting "
+     "value: line 1 column 1 (char 0)"),
+    (["search", *SPACE, "--resume", "{tmp}/array.jsonl"], 3,
+     "error: [runtime] cannot read resume file {tmp}/array.jsonl: line 2 is not "
+     "a JSON object"),
     (["search", *SPACE, "--out", "{tmp}/r.parquet"], 2, UNKNOWN_FORMAT),
     (["search", *SPACE, "--out", "{tmp}/held.jsonl"], 3, STORE_LOCKED),
     # -- serve
@@ -131,9 +157,16 @@ def workdir(tmp_path):
         "search_duty.json": {"space": {"testcases": ["emr-2chiplet"],
                                        "duty_cycle": [0.1]}},
     }
+    # Non-finite nodes, written with the NaN/Infinity JSON extension.
+    for label, node in (("nan", math.nan), ("inf", math.inf), ("neg_inf", -math.inf)):
+        space = {"testcases": ["ga102-3chiplet"], "nodes": [node]}
+        specs[f"nodes_{label}.json"] = space
+        specs[f"search_nodes_{label}.json"] = {"space": space, "budget": 4}
     for name, body in specs.items():
         (tmp_path / name).write_text(json.dumps(body))
     (tmp_path / "corrupt.jsonl").write_text('garbage\n{"scenario": 0}\n')
+    # Valid JSON on every line, but line 2 is an array, not a record.
+    (tmp_path / "array.jsonl").write_text('{"scenario": 0}\n[1, 2]\n{"scenario": 1}\n')
     (tmp_path / "adir.jsonl").mkdir()
     held = open_store(tmp_path / "held.jsonl")
     busy = socket.socket()

@@ -147,6 +147,32 @@ class TestPersistentCompilerSeam:
         assert second.compiles == 0
         assert probe.hits > 0
 
+    def test_outline_entry_on_disk_is_not_reused_for_a_bridge(self, tmp_path):
+        # The first compiler leaves an outline-only floorplan on disk.  The
+        # second (cost-free: its templates miss, floorplans are shared)
+        # loads it for rdl_fanout, then needs the same areas with
+        # adjacencies for silicon_bridge and must floorplan them in full.
+        cache_dir = tmp_path / "cc"
+        TemplateCompiler(persistent_cache=cache_dir).compile(
+            "testcase", "ga102-3chiplet", None, {"type": "rdl_fanout"}
+        )
+        probe = DiskCompileCache(cache_dir)
+        second = TemplateCompiler(include_cost=False, persistent_cache=probe)
+        second.compile("testcase", "ga102-3chiplet", None, {"type": "rdl_fanout"})
+        assert second.compiles == 1 and probe.hits == 1  # the outline entry
+        [(outline, full)] = second._floorplans.values()
+        assert not full and outline.placements == ()
+
+        bridged = second.compile(
+            "testcase", "ga102-3chiplet", None, {"type": "silicon_bridge"}
+        )
+        [(floorplan, full)] = second._floorplans.values()
+        assert full and floorplan.adjacencies
+        reference = TemplateCompiler(include_cost=False).compile(
+            "testcase", "ga102-3chiplet", None, {"type": "silicon_bridge"}
+        )
+        assert bridged.packaging.cfp(500.0) == reference.packaging.cfp(500.0)
+
     def test_different_config_does_not_share_entries(self, tmp_path):
         from repro.core.estimator import EstimatorConfig
 

@@ -70,6 +70,25 @@ class TestTemplateCompiler:
         compiler.compile("testcase", "ga102-3chiplet", None, {"type": "silicon_bridge"})
         assert len(compiler._floorplans) == count_after_rdl
 
+    def test_outline_entry_is_floorplanned_in_full_for_a_bridge(self):
+        # rdl_fanout caches an outline-only floorplan (no placements); the
+        # silicon_bridge template on the same areas must not reuse it as
+        # "no adjacencies" (zero bridges) but floorplan them in full.
+        compiler = TemplateCompiler()
+        compiler.compile("testcase", "ga102-3chiplet", None, {"type": "rdl_fanout"})
+        assert compiler._floorplans
+        for floorplan, full in compiler._floorplans.values():
+            assert not full and floorplan.placements == ()
+        bridged = compiler.compile(
+            "testcase", "ga102-3chiplet", None, {"type": "silicon_bridge"}
+        )
+        full_entries = [fp for fp, full in compiler._floorplans.values() if full]
+        assert len(full_entries) == 1 and full_entries[0].adjacencies
+        reference = TemplateCompiler().compile(
+            "testcase", "ga102-3chiplet", None, {"type": "silicon_bridge"}
+        )
+        assert bridged.packaging.cfp(500.0) == reference.packaging.cfp(500.0)
+
     def test_node_count_mismatch_raises(self):
         compiler = TemplateCompiler()
         with pytest.raises(ValueError):

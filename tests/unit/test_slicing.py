@@ -108,6 +108,37 @@ class TestAdjacencies:
         assert seen == {f"c{i}" for i in range(5)}
 
 
+class TestOutline:
+    def test_outline_has_no_placements_or_adjacencies(self):
+        areas = {"a": 120.0, "b": 80.0, "c": 40.0}
+        planner = SlicingFloorplanner(spacing_mm=0.5)
+        outline = planner.outline(areas)
+        assert outline.placements == () and outline.adjacencies == ()
+        assert outline.outline == planner.floorplan(areas).outline
+
+    def test_adjacencies_of_refuses_a_placement_less_result(self):
+        # An outline carries no placements: deriving "no adjacencies" from
+        # it would silently price a bridged package with zero bridges.
+        planner = SlicingFloorplanner(spacing_mm=0.5)
+        outline = planner.outline({"a": 50.0, "b": 50.0})
+        with pytest.raises(ValueError, match="no placements"):
+            planner.adjacencies_of(outline)
+
+    def test_adjacencies_of_fills_in_a_full_floorplan(self):
+        planner = SlicingFloorplanner(spacing_mm=0.5)
+        areas = {"a": 50.0, "b": 30.0, "c": 20.0}
+        bare = planner.floorplan(areas, adjacencies=False)
+        assert bare.adjacencies == ()
+        assert planner.adjacencies_of(bare) == planner.floorplan(areas)
+
+    def test_outline_validates_like_floorplan(self):
+        planner = SlicingFloorplanner()
+        with pytest.raises(ValueError, match="at least one chiplet"):
+            planner.outline({})
+        with pytest.raises(ValueError, match="non-positive"):
+            planner.outline({"a": 0.0})
+
+
 class TestConstruction:
     def test_invalid_spacing_and_aspect_ratio(self):
         with pytest.raises(ValueError):

@@ -16,10 +16,12 @@ from repro.sweep.store import (
     RecordBlock,
     StoreLockError,
     SweepRow,
+    completed_scenario_ids,
     iter_records,
     load_records,
     load_rows,
     open_store,
+    records_by_scenario,
     render_jsonl_block,
     rows_from_records,
 )
@@ -177,6 +179,28 @@ class TestSweepRow:
                 store.append(record)
         iterator = iter_records(path)
         assert next(iterator)["scenario"] == 0
+
+
+class TestNonObjectLines:
+    """A JSONL line that is valid JSON but not an object is corruption, not a
+    record and not a torn tail: every reader names its line number."""
+
+    @pytest.mark.parametrize(
+        "text, number",
+        [
+            ('{"scenario": 0}\n[1, 2]\n{"scenario": 1}\n', 2),
+            ('{"scenario": 0}\n\n{"scenario": 1}\n7\n', 4),  # last line, blank skipped
+            ('null\n', 1),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "reader", [load_records, completed_scenario_ids, records_by_scenario]
+    )
+    def test_readers_raise_value_error_naming_the_line(self, tmp_path, text, number, reader):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^line {number} is not a JSON object$"):
+            reader(path)
 
 
 class TestStoreLocking:
