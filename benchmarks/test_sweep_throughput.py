@@ -39,7 +39,7 @@ GRID = SweepSpec.preset("ga102-grid")
 def _scalar_seconds(scenarios, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
-        engine = SweepEngine(jobs=1)
+        engine = SweepEngine(jobs=1, backend="scalar")
         start = time.perf_counter()
         for _record in engine.iter_records(scenarios):
             pass
@@ -55,7 +55,7 @@ def test_batch_steady_state_speedup_at_least_10x(benchmark):
     # Warm compile + the parity precondition that makes the speedup claim
     # meaningful: identical records, not merely similar ones.
     warm_records = estimator.evaluate(scenarios)
-    scalar_records = list(SweepEngine(jobs=1).iter_records(scenarios))
+    scalar_records = list(SweepEngine(jobs=1, backend="scalar").iter_records(scenarios))
     assert warm_records == scalar_records
 
     benchmark(estimator.evaluate, scenarios)
@@ -123,8 +123,8 @@ def test_batch_cold_start_warm_disk_cache(benchmark, tmp_path):
     Every round builds a fresh :class:`BatchEstimator` — the same
     measurement as ``test_batch_cold_start_compile`` — but mounted on a
     :class:`repro.fastpath.DiskCompileCache` directory a previous
-    "process" already populated, so templates and floorplans load from
-    disk instead of compiling.  Records must stay bit-identical to the
+    "process" already populated, so templates load from disk instead of
+    compiling.  Records must stay bit-identical to the
     compiled path, and the load must beat the compile by at least
     ``WARM_DISK_SPEEDUP_FLOOR``.
     """

@@ -301,7 +301,7 @@ def main() -> None:
     )
     scenarios = spec.expand()
 
-    scalar = list(SweepEngine(jobs=1).iter_records(scenarios))
+    scalar = list(SweepEngine(jobs=1, backend="scalar").iter_records(scenarios))
     batch = list(SweepEngine(jobs=1, backend="batch").iter_records(scenarios))
     assert scalar == batch, "batch backend diverged from the scalar pipeline"
     # Worker processes auto-import this plugin module (the engine ships the

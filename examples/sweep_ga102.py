@@ -3,10 +3,10 @@
 
 Expands the paper-scale ``ga102-grid`` preset (4 nodes ^ 3 chiplets x 5
 packaging architectures x 2 fab energy sources = 640 scenarios), evaluates
-it serially, with worker processes, and through the compiled batch backend
-(``repro.fastpath``), verifies all paths agree bit-for-bit, streams the
-records to a JSONL file, and reports the Pareto front under total carbon vs
-silicon area.
+it on the default compiled batch backend (``repro.fastpath``) serially and
+with worker processes, and through the scalar reference oracle, verifies all
+paths agree bit-for-bit, streams the records to a JSONL file, and reports
+the Pareto front under total carbon vs silicon area.
 
 Run with::
 
@@ -33,11 +33,9 @@ def main() -> None:
     serial_engine = SweepEngine(jobs=1)
     with open_store(out_path) as store:
         serial = serial_engine.run(scenarios, store=store)
-    stats = serial.cache_stats
     print(
         f"serial:   {serial.scenario_count} scenarios in {serial.elapsed_s:.2f}s "
-        f"({serial.scenarios_per_second:,.0f}/s), kernel cache "
-        f"{stats.hits} hits / {stats.misses} misses"
+        f"({serial.scenarios_per_second:,.0f}/s, compile included)"
     )
 
     # Parallel run (speedup depends on the host's core count).
@@ -51,23 +49,23 @@ def main() -> None:
         f"({len(parallel_records) / parallel_s:,.0f}/s) on {os.cpu_count()} cpu(s)"
     )
 
-    # Compiled batch backend: templates compile once, scenarios evaluate as
-    # flat arithmetic — same records, bit for bit, at much higher throughput.
-    batch_engine = SweepEngine(backend="batch")
+    # Scalar reference oracle: the full EcoChip.estimate pipeline per
+    # scenario — same records, bit for bit, at much lower throughput.
+    oracle_engine = SweepEngine(backend="scalar")
     start = time.perf_counter()
-    batch_records = list(batch_engine.iter_records(scenarios))
-    batch_s = time.perf_counter() - start
+    oracle_records = list(oracle_engine.iter_records(scenarios))
+    oracle_s = time.perf_counter() - start
     print(
-        f"batch:    {len(batch_records)} scenarios in {batch_s:.2f}s "
-        f"({len(batch_records) / batch_s:,.0f}/s, compile included)"
+        f"scalar:   {len(oracle_records)} scenarios in {oracle_s:.2f}s "
+        f"({len(oracle_records) / oracle_s:,.0f}/s, reference oracle)"
     )
 
     stored = load_records(out_path)
     serial_total = sum(r["total_carbon_g"] for r in stored)
     parallel_total = sum(r["total_carbon_g"] for r in parallel_records)
-    batch_total = sum(r["total_carbon_g"] for r in batch_records)
+    oracle_total = sum(r["total_carbon_g"] for r in oracle_records)
     assert parallel_total == serial_total, "parallel and serial paths must agree exactly"
-    assert batch_total == serial_total, "batch and scalar backends must agree exactly"
+    assert oracle_total == serial_total, "batch and scalar backends must agree exactly"
     print(f"bit-identical totals across paths: {serial_total / 1000.0:,.1f} kg CO2e summed")
 
     best = serial.best

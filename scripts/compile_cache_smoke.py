@@ -4,12 +4,11 @@
 Runs ``eco-chip sweep`` twice against the same temporary compile-cache
 directory and asserts:
 
-1. the first run populates the directory (template + floorplan entries);
+1. the first run populates the directory (one entry per compiled template);
 2. the second run's output is **byte-identical** to the first;
 3. a fresh in-process :class:`repro.fastpath.BatchEstimator` mounted on the
    warm directory compiles **nothing** (``compiles == 0`` — every template
-   and floorplan loads from disk) while reproducing the swept records
-   bit-for-bit;
+   loads from disk) while reproducing the swept records bit-for-bit;
 4. the ``ECO_CHIP_COMPILE_CACHE`` environment default behaves like the
    explicit flag.
 

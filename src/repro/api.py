@@ -7,8 +7,8 @@ users do with the library behind typed results:
 * :meth:`Session.estimate` — one system, full
   :class:`~repro.core.results.SystemCarbonReport`;
 * :meth:`Session.sweep` — a declarative scenario grid, evaluated on the
-  scalar or compiled batch backend (bit-identical records either way),
-  returning a :class:`SweepResult`;
+  compiled batch backend (or the scalar reference oracle, with
+  bit-identical records), returning a :class:`SweepResult`;
 * :meth:`Session.explore` — exhaustive design-space search with a Pareto
   front, returning an :class:`ExploreResult`.
 
@@ -18,7 +18,7 @@ conditions, or an out-of-tree axis — is one mapping away::
 
     from repro import Session
 
-    session = Session(jobs=4, backend="batch")
+    session = Session(jobs=4)
     report = session.estimate("ga102-3chiplet",
                               overrides={"wafer_diameter_mm": 300.0})
     result = session.sweep({
@@ -197,8 +197,10 @@ class Session:
             ``overrides`` derive per-call configs from it).
         table: Technology table override.
         jobs: Worker processes for sweeps and exploration (``1`` = serial).
-        backend: Sweep backend, ``"scalar"`` or ``"batch"`` (bit-identical
-            records, batch is much faster on repetitive grids).
+        backend: Sweep backend: ``"batch"`` (default) evaluates compiled
+            templates as flat arithmetic; ``"scalar"`` is the reference
+            oracle (plain :meth:`EcoChip.estimate` per scenario) with
+            bit-identical records at a fraction of the throughput.
         include_cost: Add ``cost_usd`` to sweep records and cost reports to
             explore points.
         mp_context: Multiprocessing start method for worker pools.
@@ -238,7 +240,7 @@ class Session:
         *,
         table: Optional[TechnologyTable] = None,
         jobs: int = 1,
-        backend: str = "scalar",
+        backend: str = "batch",
         include_cost: bool = True,
         mp_context: Optional[str] = None,
         result_cache: Optional[Any] = None,
@@ -311,7 +313,7 @@ class Session:
         estimator = self._estimators.get(key)
         if estimator is None:
             # Same scenario→config semantics as the sweep engine's scalar
-            # evaluator, so estimate() matches sweep records bit for bit.
+            # oracle, so estimate() matches sweep records bit for bit.
             config = derive_scenario_config(self.config, fab_source, overrides)
             estimator = EcoChip(config=config, table=self.table)
             self._estimators[key] = estimator

@@ -13,10 +13,11 @@ Additional conveniences:
 * ``eco-chip sweep --spec <file> --jobs N --out results.jsonl`` evaluates a
   declarative scenario grid in parallel, streaming results to disk (see
   :mod:`repro.sweep`).
-* ``eco-chip sweep --preset ga102-grid --backend batch`` evaluates the grid
-  through the compiled batch fast path (:mod:`repro.fastpath`), and
-  ``--resume results.jsonl`` continues an interrupted sweep by skipping the
-  scenario ids already in the file.
+* ``eco-chip sweep --preset ga102-grid`` evaluates the grid through the
+  compiled batch fast path (:mod:`repro.fastpath`; ``--backend scalar``
+  runs the reference oracle instead), and ``--resume results.jsonl``
+  continues an interrupted sweep by skipping the scenario ids already in
+  the file.
 * ``eco-chip serve`` runs the sweep-as-a-service HTTP job server
   (:mod:`repro.serve`) with shared compile/result caches, quotas and a
   metrics endpoint.
@@ -28,12 +29,14 @@ Additional conveniences:
 The three subcommands share their evaluation flags (``--jobs``,
 ``--backend``, ``--compile-cache``, ``--no-cost``; ``sweep`` and ``search``
 also ``--set``, ``--out``, ``--quiet``) through argparse parent parsers.
-They report a failure by raising :class:`~repro.serve.errors.SpecError`
-(exit ``2``: bad spec or flag value, unknown preset/axis/format, a node
-outside the technology table) or :class:`~repro.serve.errors.RuntimeJobError`
-(exit ``3``: I/O, a locked store, port in use); :func:`main` alone prints
-the error's one ``error: [code] message`` line — the codes the HTTP API
-reports — and returns its exit code.
+The subcommands and the single-estimate entry point report a failure by
+raising :class:`~repro.serve.errors.SpecError` (exit ``2``: bad spec or
+flag value, unknown testcase/preset/axis/format, an unreadable design
+directory, a node outside the technology table) or
+:class:`~repro.serve.errors.RuntimeJobError` (exit ``3``: I/O, a locked
+store, port in use); :func:`main` alone prints the error's one
+``error: [code] message`` line — the codes the HTTP API reports — and
+returns its exit code.
 """
 
 from __future__ import annotations
@@ -183,9 +186,10 @@ COMPILE_CACHE_ENV = "ECO_CHIP_COMPILE_CACHE"
 def resolve_compile_cache(explicit: Optional[str], backend: str) -> Optional[str]:
     """Resolve the persistent compile-cache directory for one run.
 
-    An explicit ``--compile-cache`` combined with the scalar backend is an
-    error — the scalar pipeline compiles no templates, so the flag would
-    silently do nothing.  The ``ECO_CHIP_COMPILE_CACHE`` environment
+    The cache serves the default batch backend.  An explicit
+    ``--compile-cache`` combined with ``--backend scalar`` (the reference
+    oracle) is an error — the oracle compiles no templates, so the flag
+    would silently do nothing.  The ``ECO_CHIP_COMPILE_CACHE`` environment
     default, by contrast, is meant to be set once per machine, so it is
     simply ignored where it cannot help.
 
@@ -208,8 +212,8 @@ def _evaluation_flags() -> argparse.ArgumentParser:
     """Parent parser of the evaluation flags ``sweep``, ``search`` and
     ``serve`` share.
 
-    Built afresh for every subcommand: ``set_defaults`` on a child parser
-    (``serve`` runs on ``batch``) rewrites the inherited action objects.
+    Built afresh for every subcommand, so no subcommand parser shares
+    action objects (and with them defaults) with another.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -219,12 +223,13 @@ def _evaluation_flags() -> argparse.ArgumentParser:
     parent.add_argument(
         "--backend",
         choices=["scalar", "batch"],
-        default="scalar",
+        default="batch",
         help=(
-            "Evaluation backend: 'scalar' runs the full estimator pipeline "
-            "per scenario, 'batch' compiles scenario templates once and "
-            "evaluates grids as flat arithmetic (bit-identical results, "
-            "much faster on repetitive grids; default: %(default)s)"
+            "Evaluation backend: 'batch' compiles scenario templates once "
+            "and evaluates grids as flat arithmetic; 'scalar' is the "
+            "reference oracle, running the full estimator pipeline per "
+            "scenario (bit-identical results, an order of magnitude "
+            "slower; default: %(default)s)"
         ),
     )
     parent.add_argument(
@@ -233,9 +238,9 @@ def _evaluation_flags() -> argparse.ArgumentParser:
         default=None,
         help=(
             "Persistent on-disk compile cache for --backend batch: compiled "
-            "templates and floorplan signatures are stored content-addressed "
-            "under DIR and shared across runs, processes and server restarts "
-            "(defaults to $ECO_CHIP_COMPILE_CACHE when set)"
+            "templates are stored content-addressed under DIR and shared "
+            "across runs, processes and server restarts (defaults to "
+            "$ECO_CHIP_COMPILE_CACHE when set)"
         ),
     )
     parent.add_argument(
@@ -780,7 +785,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         ),
         parents=[_evaluation_flags()],
     )
-    parser.set_defaults(backend="batch")
     parser.add_argument("--host", default="127.0.0.1", help="Bind address (default: 127.0.0.1)")
     parser.add_argument(
         "--port", type=int, default=8437,
@@ -899,18 +903,9 @@ def _serve_main(argv: Sequence[str]) -> int:
     return 0
 
 
-_SUBCOMMANDS = {"sweep": _sweep_main, "search": _search_main, "serve": _serve_main}
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    arguments = list(argv) if argv is not None else sys.argv[1:]
-    if arguments and arguments[0] in _SUBCOMMANDS:
-        try:
-            return _SUBCOMMANDS[arguments[0]](arguments[1:])
-        except ServeError as exc:
-            print(exc.text(), file=sys.stderr)
-            return exc.exit_code
+def _estimate_main(arguments: Sequence[str]) -> int:
+    """Implementation of the single-estimate entry point
+    (``--testcase``/``--design-dir``); returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(arguments)
 
@@ -937,16 +932,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             design = load_design_directory(args.design_dir)
         except (FileNotFoundError, KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise SpecError(str(exc)) from exc
         system = design.system
         node_sweep = design.node_sweep
     elif args.testcase:
         try:
             system = get_testcase(args.testcase)
         except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise SpecError(str(exc)) from exc
     else:
         parser.print_help()
         return 1
@@ -958,8 +951,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             path = write_report(report, args.output)
         except OSError as exc:
-            print(f"error: cannot write report to {args.output}: {exc}", file=sys.stderr)
-            return 2
+            raise RuntimeJobError(f"cannot write report to {args.output}: {exc}") from exc
         print(f"\nreport written to {path}")
 
     if args.sweep_nodes:
@@ -972,6 +964,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _print_sweep(system, node_sweep, estimator)
 
     return 0
+
+
+_SUBCOMMANDS = {"sweep": _sweep_main, "search": _search_main, "serve": _serve_main}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    arguments = list(argv) if argv is not None else sys.argv[1:]
+    try:
+        if arguments and arguments[0] in _SUBCOMMANDS:
+            return _SUBCOMMANDS[arguments[0]](arguments[1:])
+        return _estimate_main(arguments)
+    except ServeError as exc:
+        print(exc.text(), file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 try:  # optional fast path, same soft dependency as repro.fastpath.batch
@@ -24,7 +25,7 @@ from repro.core.estimator import EcoChip
 from repro.core.results import SystemCarbonReport
 from repro.core.system import ChipletSystem
 from repro.cost.model import ChipletCostModel, CostReport
-from repro.packaging.registry import PackagingSpec
+from repro.packaging.registry import PackagingSpec, import_plugin_modules, plugin_modules
 
 #: Objective extractors available by name.  Every objective is minimised.
 OBJECTIVES: Dict[str, Callable[["DesignPoint"], float]] = {
@@ -389,21 +390,30 @@ class DesignSpaceExplorer:
     ) -> List[DesignPoint]:
         """Evaluate many candidate systems, optionally across processes.
 
-        Delegates to the sweep engine
-        (:func:`repro.sweep.engine.evaluate_systems`): ``jobs=1`` runs
-        serially with memoised manufacturing/design kernels, ``jobs>1``
-        shards the candidates over worker processes.  Results are returned
-        in input order and are identical for any ``jobs`` value.
+        ``jobs=1`` runs :meth:`evaluate` in-process; ``jobs>1`` maps it over
+        a pool of worker processes (the platform's default start method)
+        whose initializer re-imports the out-of-tree plugin modules
+        (:func:`repro.packaging.registry.plugin_modules`), in about
+        ``8 x jobs`` chunks of at most 256 systems.  Results are returned in
+        input order and are identical for any ``jobs`` value.
         """
-        from repro.sweep.engine import evaluate_systems  # deferred: avoids an import cycle
-
-        return evaluate_systems(
-            systems,
-            config=self.estimator.config,
-            table=self.estimator.table,
-            include_cost=self.cost_model is not None,
-            jobs=jobs,
-        )
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        systems = list(systems)
+        if jobs == 1 or not systems:
+            return [self.evaluate(system) for system in systems]
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(systems)),
+            initializer=import_plugin_modules,
+            initargs=(plugin_modules(),),
+        ) as pool:
+            return list(
+                pool.map(
+                    self.evaluate,
+                    systems,
+                    chunksize=max(1, min(256, -(-len(systems) // (jobs * 8)))),
+                )
+            )
 
     def explore(
         self,
@@ -435,8 +445,6 @@ class DesignSpaceExplorer:
                 candidates.append(
                     candidate.with_packaging(packaging) if packaging is not None else candidate
                 )
-        if jobs == 1:
-            return [self.evaluate(variant) for variant in candidates]
         return self.evaluate_many(candidates, jobs=jobs)
 
     # -- selection -------------------------------------------------------------------

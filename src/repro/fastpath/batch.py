@@ -176,7 +176,7 @@ class BatchEstimator:
         persistent_cache: Optional on-disk compile cache
             (:class:`repro.fastpath.DiskCompileCache` or a directory path),
             mounted by every config context's template compiler: compiled
-            templates and floorplans persist across processes, runs and
+            templates persist across processes, runs and
             server restarts, and records stay bit-identical to a cold
             compile.  See :mod:`repro.fastpath.diskcache`.
     """

@@ -34,8 +34,9 @@ unset only read the outline, so they get
 fold with no tree, placements or rectangles, bit-identical in every area
 field.  Only adjacency consumers (the silicon bridge) pay for the full
 :meth:`~repro.floorplan.slicing.SlicingFloorplanner.floorplan`; an
-outline-only entry (in memory or on disk) that is later needed with
-adjacencies is floorplanned anew in full, never upgraded in place.
+outline-only entry that is later needed with adjacencies is floorplanned
+anew in full, never upgraded in place.  Floorplans live in memory only: a
+mounted persistent cache stores compiled templates, not floorplans.
 
 Per-architecture closed forms live with their models: every
 :class:`~repro.packaging.base.PackagingModel` implements
@@ -257,8 +258,8 @@ class TemplateCompiler:
         include_cost: Also compile the dollar-cost terms for ``cost_usd``.
         persistent_cache: Optional on-disk compile cache
             (:class:`repro.fastpath.DiskCompileCache` or a directory path):
-            templates and floorplans missing from the in-memory caches are
-            loaded from (and compiled results stored to) disk, so cold
+            templates missing from the in-memory cache are loaded from (and
+            compiled templates stored to) disk, so cold
             starts across processes, runs and server restarts share one
             compile investment.  Entries are salted with the config, the
             technology-table content hash and the cost flag, so a cache
@@ -364,18 +365,9 @@ class TemplateCompiler:
         entry = self._floorplans.get(key)
         if entry is not None and (entry[1] or not need_adjacencies):
             return entry[0]
-        # Floorplans are pure geometry: independent of config and table, so
-        # their disk entries are keyed on the signature alone and shared
-        # across every compiler mounting the directory.
-        cache = self.persistent_cache
-        disk_key = key + (need_adjacencies,)
-        floorplan = cache.load("floorplan", None, disk_key) if cache is not None else None
-        if floorplan is None:
-            floorplan = (
-                planner.floorplan(areas) if need_adjacencies else planner.outline(areas)
-            )
-            if cache is not None:
-                cache.store("floorplan", None, disk_key, floorplan)
+        # Never persisted: recomputing an outline is cheaper than one disk
+        # probe, and a template entry already carries its floorplan terms.
+        floorplan = planner.floorplan(areas) if need_adjacencies else planner.outline(areas)
         self._floorplans[key] = (floorplan, need_adjacencies)
         return floorplan
 

@@ -1,10 +1,10 @@
-"""Content-addressed on-disk cache of compiled templates and floorplans.
+"""Content-addressed on-disk cache of compiled templates.
 
 Template compilation dominates the batch fast path's cold start: the
 floorplanner, the per-architecture ``compile_terms`` closed forms and the
 cost terms are all recomputed by every fresh process even though they are
 pure functions of the template key.  :class:`DiskCompileCache` persists
-those artifacts to a directory so they are shared across processes, runs
+compiled templates to a directory so they are shared across processes, runs
 and server restarts: a sweep worker (or a restarted ``eco-chip serve``)
 that compiles a template some earlier process already compiled loads the
 pickled result instead of recomputing it.
@@ -15,10 +15,9 @@ Design:
   ``root/<digest[:2]>/<digest>.pkl`` where the digest is the SHA-256 of the
   entry kind, a *salt* (estimator config, technology-table content hash via
   :func:`repro.technology.nodes.table_signature`, cost flag) and the same
-  canonical key the in-memory caches use (:data:`TemplateKey` signatures
-  for templates, ``(spacing, area items, adjacency flag)`` for floorplans;
-  a false flag addresses a placement-less outline).
-  There is no index file and nothing to lock.
+  canonical :data:`TemplateKey` signature the in-memory template cache
+  uses.  Floorplans are not persisted: recomputing one costs less than a
+  disk probe.  There is no index file and nothing to lock.
 * **Versioned.**  The digest also folds in :data:`CACHE_FORMAT_VERSION`
   and :data:`repro.plugins.PLUGIN_API_VERSION`, so a format change, a
   plugin-API bump or a technology-table edit simply makes every old entry
@@ -54,7 +53,8 @@ __all__ = ["CACHE_FORMAT_VERSION", "DiskCompileCache", "as_disk_cache"]
 #: Bump when the on-disk entry layout (or the meaning of cached values)
 #: changes; old entries become unreachable, not misread.  Version 2: an
 #: adjacency-free floorplan entry is a placement-less outline, which a
-#: version-1 reader would have "upgraded" to empty adjacencies.
+#: version-1 reader would have "upgraded" to empty adjacencies.  Floorplan
+#: entries are no longer written; old ones are simply never read.
 CACHE_FORMAT_VERSION = 2
 
 
@@ -106,7 +106,7 @@ class DiskCompileCache:
 
         ``repr`` of plain values (floats, strings, bools, ``None``, nested
         tuples) is deterministic across processes, which is exactly the
-        value domain of the template/floorplan signatures.
+        value domain of the template signatures.
         """
         return repr((CACHE_FORMAT_VERSION, PLUGIN_API_VERSION, kind, salt, key))
 

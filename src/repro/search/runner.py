@@ -95,7 +95,7 @@ class SearchResult:
     budget: int
     elapsed_s: float
     store_path: Optional[str] = None
-    backend: str = "scalar"
+    backend: str = "batch"
     jobs: int = 1
 
     @property

@@ -11,10 +11,10 @@ provides the scale-out machinery for that:
     cartesian-product expansion and named presets.
 :mod:`repro.sweep.engine`
     :class:`~repro.sweep.engine.SweepEngine` — sharded, process-parallel
-    scenario evaluation with memoised manufacturing/design kernels, a
-    deterministic serial fallback, resume-from-store, and a compiled batch
-    backend (``backend="batch"``, see :mod:`repro.fastpath`) whose records
-    are bit-identical to the scalar path.
+    scenario evaluation on the compiled batch backend (see
+    :mod:`repro.fastpath`), a deterministic serial fallback and
+    resume-from-store; ``backend="scalar"`` is the reference oracle the
+    batch records are bit-identical to.
 :mod:`repro.sweep.store`
     Streaming JSONL/CSV result stores (crash-safe, constant memory, one
     write per :class:`~repro.sweep.store.RecordBlock`) and row adapters feeding :func:`repro.core.explorer.pareto_front`.
@@ -22,10 +22,8 @@ provides the scale-out machinery for that:
 
 from repro.sweep.engine import (
     BACKENDS,
-    KernelCacheStats,
     SweepEngine,
     SweepSummary,
-    install_kernel_cache,
     prepare_resume,
 )
 from repro.sweep.spec import PRESETS, Scenario, SweepSpec, load_spec
@@ -54,8 +52,6 @@ __all__ = [
     "load_spec",
     "SweepEngine",
     "SweepSummary",
-    "KernelCacheStats",
-    "install_kernel_cache",
     "JsonlResultStore",
     "CsvResultStore",
     "RecordBlock",

@@ -7,12 +7,13 @@ through one evaluation loop, whatever the backend or ``jobs`` value:
   groups (:func:`repro.fastpath.group_scenarios`) on the batch backend,
   contiguous slices on the scalar backend;
 * each group is evaluated in one attempt (the compiled template's
-  ``evaluate_group`` on the batch backend, the full :class:`EcoChip`
-  pipeline per scenario on the scalar backend).  When the attempt raises,
-  or a chaos plan is mounted, the group is replayed scenario by scenario
-  through :func:`repro.resilience.records.evaluate_contained`, so the
-  failure is isolated, retried and recorded (or raised) as the resilience
-  policy says;
+  ``evaluate_group`` on the batch backend, the reference oracle —
+  :meth:`EcoChip.estimate`, :class:`~repro.cost.model.ChipletCostModel` and
+  :func:`make_record` per scenario — on the scalar backend).  When the
+  attempt raises, or a chaos plan is mounted, the group is replayed
+  scenario by scenario through
+  :func:`repro.resilience.records.evaluate_contained`, so the failure is
+  isolated, retried and recorded (or raised) as the resilience policy says;
 * ``jobs=1`` runs that loop in-process; ``jobs>1`` ships chunks of groups
   to a supervised worker pool and streams every chunk back, in order, as
   soon as it and the chunks before it are done;
@@ -24,15 +25,6 @@ through one evaluation loop, whatever the backend or ``jobs`` value:
 
 Records come out in scenario order and are bit-identical across both
 backends and every ``jobs`` value.
-
-Each scalar evaluator memoises the two hot kernels of the estimation
-pipeline: the per-die manufacturing CFP (keyed on area, node and design
-type) and the per-chiplet design CFP (keyed on transistors, node,
-iterations, volume and reuse).  Across a scenario grid most sub-evaluations
-repeat, e.g. the analog chiplet's manufacturing CFP is identical in every
-scenario that keeps it at 14 nm, so the cache collapses the grid's cost
-from ``scenarios x chiplets`` kernel runs to the number of *distinct*
-kernel inputs.
 
 Out-of-tree packaging architectures *and* sweep axes work at any ``jobs``
 value: the pool initializer receives the shared plugin-module snapshot
@@ -79,7 +71,6 @@ from repro.axes import (
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.core.results import SystemCarbonReport
 from repro.core.system import ChipletSystem
-from repro.design.eda import DEFAULT_DESIGN_ITERATIONS
 from repro.packaging.registry import import_plugin_modules, plugin_modules
 from repro.resilience.policy import ResiliencePolicy, WorkerLostError
 from repro.resilience.records import (
@@ -96,111 +87,11 @@ from repro.sweep.store import (
     repair_torn_tail,
 )
 from repro.technology.nodes import TechnologyTable
-from repro.technology.scaling import DesignType
 
 Record = Dict[str, Any]
 
 #: Plugin-module snapshot shipped to worker initializers.
 PluginModules = Tuple[Tuple[str, Optional[str]], ...]
-
-
-# ---------------------------------------------------------------------------
-# Kernel memoisation
-# ---------------------------------------------------------------------------
-@dataclasses.dataclass
-class KernelCacheStats:
-    """Hit/miss counters of the memoised estimator kernels."""
-
-    manufacturing_hits: int = 0
-    manufacturing_misses: int = 0
-    design_hits: int = 0
-    design_misses: int = 0
-
-    @property
-    def hits(self) -> int:
-        """Total cache hits across both kernels."""
-        return self.manufacturing_hits + self.design_hits
-
-    @property
-    def misses(self) -> int:
-        """Total cache misses across both kernels."""
-        return self.manufacturing_misses + self.design_misses
-
-
-def install_kernel_cache(
-    estimator: EcoChip, stats: Optional[KernelCacheStats] = None
-) -> KernelCacheStats:
-    """Memoise ``estimator``'s manufacturing and design CFP kernels in place.
-
-    Results are cached on the value-determining inputs only; the cosmetic
-    ``name`` argument is re-attached on the way out, so cached results are
-    bit-identical to uncached ones.  Installing twice is a no-op.
-
-    Returns:
-        The stats object tracking hits and misses for this estimator.
-    """
-    existing = getattr(estimator, "_kernel_cache_stats", None)
-    if existing is not None:
-        return existing
-    stats = stats if stats is not None else KernelCacheStats()
-
-    manufacturing = estimator.manufacturing
-    raw_cfp_for_area = manufacturing.cfp_for_area
-    manufacturing_cache: Dict[Tuple[float, float, DesignType], Any] = {}
-
-    def cfp_for_area(area_mm2, node, design_type=DesignType.LOGIC, name=""):
-        dtype = DesignType.parse(design_type)
-        key = (float(area_mm2), manufacturing.table.get(node).feature_nm, dtype)
-        hit = manufacturing_cache.get(key)
-        if hit is None:
-            stats.manufacturing_misses += 1
-            hit = raw_cfp_for_area(area_mm2, node, dtype, name="")
-            manufacturing_cache[key] = hit
-        else:
-            stats.manufacturing_hits += 1
-        return dataclasses.replace(hit, name=name) if name else hit
-
-    manufacturing.cfp_for_area = cfp_for_area  # type: ignore[method-assign]
-
-    design = estimator.design_model
-    raw_chiplet_design_cfp = design.chiplet_design_cfp
-    design_cache: Dict[Tuple[float, float, int, float, bool], Any] = {}
-
-    def chiplet_design_cfp(
-        transistors,
-        node,
-        iterations=DEFAULT_DESIGN_ITERATIONS,
-        manufactured_volume=1.0,
-        name="",
-        reused=False,
-    ):
-        key = (
-            float(transistors),
-            design.table.get(node).feature_nm,
-            int(iterations),
-            float(manufactured_volume),
-            bool(reused),
-        )
-        hit = design_cache.get(key)
-        if hit is None:
-            stats.design_misses += 1
-            hit = raw_chiplet_design_cfp(
-                transistors,
-                node,
-                iterations=iterations,
-                manufactured_volume=manufactured_volume,
-                name="",
-                reused=reused,
-            )
-            design_cache[key] = hit
-        else:
-            stats.design_hits += 1
-        return dataclasses.replace(hit, name=name) if name else hit
-
-    design.chiplet_design_cfp = chiplet_design_cfp  # type: ignore[method-assign]
-
-    estimator._kernel_cache_stats = stats  # type: ignore[attr-defined]
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +136,8 @@ def make_record(
     Metric keys deliberately match :data:`repro.core.explorer.OBJECTIVES`
     so reloaded records plug into the Pareto tooling unchanged.  The batch
     backend (:meth:`repro.fastpath.batch.BatchEstimator._record`) emits the
-    same keys in the same order — keep the two in sync.
+    same keys in the same order; the scalar-vs-batch parity suites enforce
+    this.
     """
     record = scenario.to_record()
     record.update(
@@ -272,19 +164,49 @@ def make_record(
     return record
 
 
-class _ScenarioEvaluator:
-    """Per-process evaluation context: base-system, estimator and kernel caches."""
+#: One evaluation group: scenario positions (indices into the run's scenario
+#: list) and the scenarios at those positions.
+Group = Tuple[List[int], List[Scenario]]
+
+#: What a chunk of groups evaluates to: one ``(positions, block)`` pair per
+#: group plus the per-scenario retry attempts spent on them.
+ChunkResult = Tuple[List[Tuple[List[int], RecordBlock]], int]
+
+#: The policy of engines built without one: the first failing scenario
+#: raises its own exception, and a lost worker pool is not respawned.
+FAIL_FAST = ResiliencePolicy(on_error="raise", max_pool_respawns=0)
+
+
+class _GroupEvaluator:
+    """Per-process evaluation context of either backend.
+
+    ``attempt`` evaluates a whole group in one go; ``evaluate`` evaluates
+    one scenario, the seam :func:`evaluate_contained` replays a group
+    through.  Both are bound once, here: to the compiled templates of a
+    :class:`~repro.fastpath.BatchEstimator` on the batch backend, to
+    :meth:`oracle_record` on the scalar backend.  Both produce
+    bit-identical records.
+    """
 
     def __init__(
         self,
-        default_config: Optional[EstimatorConfig],
-        include_cost: bool = False,
-        table: Optional[TechnologyTable] = None,
+        backend: str,
+        config: Optional[EstimatorConfig],
+        include_cost: bool,
+        table: Optional[TechnologyTable],
+        policy: ResiliencePolicy,
+        chaos: Optional[Any] = None,
+        compile_cache: Optional[Any] = None,
+        batch_estimator: Optional[Any] = None,
+        in_worker: bool = False,
     ):
-        self.default_config = default_config if default_config is not None else EstimatorConfig()
+        self.policy = policy
+        self.chaos = chaos
+        self.in_worker = in_worker
+        # The oracle's context (used on the scalar backend only).
+        self.config = config if config is not None else EstimatorConfig()
         self.include_cost = include_cost
         self.table = table
-        self.stats = KernelCacheStats()
         self._bases: Dict[Tuple[str, str], ChipletSystem] = {}
         # One estimator per (fab source, config-axis override signature):
         # config-target axes (repro.axes) produce distinct EstimatorConfigs.
@@ -296,6 +218,30 @@ class _ScenarioEvaluator:
         self._cost_cache: Dict[
             Tuple[str, str, Optional[Tuple[float, ...]], float, Optional[Tuple]], float
         ] = {}
+        self.attempt: Callable[[Sequence[Scenario]], RecordBlock]
+        self.evaluate: Callable[[Scenario], Record]
+        if backend == "scalar":
+            self.evaluate = self.oracle_record
+            self.attempt = lambda scenarios: RecordBlock(map(self.evaluate, scenarios))
+            return
+        batch = batch_estimator
+        if batch is None:
+            from repro.fastpath import BatchEstimator
+
+            # ``compile_cache`` mounts the persistent on-disk template
+            # cache: the first worker to compile a template persists it
+            # for its siblings (and for every later run against the same
+            # directory).
+            batch = BatchEstimator(
+                config=config,
+                table=table,
+                include_cost=include_cost,
+                persistent_cache=compile_cache,
+            )
+        self.evaluate = batch.evaluate_scenario
+        self.attempt = lambda scenarios: batch.evaluate_group(
+            batch.compile_for(scenarios[0]), scenarios
+        )
 
     def _base(self, scenario: Scenario) -> ChipletSystem:
         key = (scenario.base_kind, scenario.base_ref)
@@ -311,9 +257,8 @@ class _ScenarioEvaluator:
         key = (fab_source, config_overrides_signature(overrides))
         estimator = self._estimators.get(key)
         if estimator is None:
-            config = derive_scenario_config(self.default_config, fab_source, overrides)
+            config = derive_scenario_config(self.config, fab_source, overrides)
             estimator = EcoChip(config=config, table=self.table)
-            install_kernel_cache(estimator, self.stats)
             self._estimators[key] = estimator
         return estimator
 
@@ -341,86 +286,19 @@ class _ScenarioEvaluator:
             self._cost_cache[key] = cost
         return cost
 
-    def evaluate(self, scenario: Scenario) -> Record:
-        """Evaluate one scenario into a flattened record."""
+    def oracle_record(self, scenario: Scenario) -> Record:
+        """The reference record of one scenario: the full
+        :meth:`EcoChip.estimate` pipeline (scalar backend only)."""
         system = scenario.build_system(base=self._base(scenario))
         estimator = self._estimator(scenario.fab_source, scenario.overrides)
         report = estimator.estimate(system)
         fab_source = (
             scenario.fab_source
             if scenario.fab_source is not None
-            else _source_name(self.default_config.fab_carbon_source)
+            else _source_name(self.config.fab_carbon_source)
         )
         cost_usd = self._cost_usd(scenario, system) if self.include_cost else None
         return make_record(scenario, system, report, fab_source, cost_usd=cost_usd)
-
-
-#: One evaluation group: scenario positions (indices into the run's scenario
-#: list) and the scenarios at those positions.
-Group = Tuple[List[int], List[Scenario]]
-
-#: What a chunk of groups evaluates to: one ``(positions, block)`` pair per
-#: group plus the per-scenario retry attempts spent on them.
-ChunkResult = Tuple[List[Tuple[List[int], RecordBlock]], int]
-
-#: The policy of engines built without one: the first failing scenario
-#: raises its own exception, and a lost worker pool is not respawned.
-FAIL_FAST = ResiliencePolicy(on_error="raise", max_pool_respawns=0)
-
-
-class _GroupEvaluator:
-    """Per-process evaluation context of either backend.
-
-    ``attempt`` evaluates a whole group in one go; ``evaluate`` evaluates
-    one scenario, the seam :func:`evaluate_contained` replays a group
-    through.  Both produce bit-identical records.
-    """
-
-    def __init__(
-        self,
-        backend: str,
-        config: Optional[EstimatorConfig],
-        include_cost: bool,
-        table: Optional[TechnologyTable],
-        policy: ResiliencePolicy,
-        chaos: Optional[Any] = None,
-        compile_cache: Optional[Any] = None,
-        batch_estimator: Optional[Any] = None,
-        in_worker: bool = False,
-    ):
-        self.policy = policy
-        self.chaos = chaos
-        self.in_worker = in_worker
-        self.scalar: Optional[_ScenarioEvaluator] = None
-        self.batch = batch_estimator
-        if backend == "scalar":
-            self.scalar = _ScenarioEvaluator(config, include_cost, table)
-        elif self.batch is None:
-            from repro.fastpath import BatchEstimator
-
-            # ``compile_cache`` mounts the persistent on-disk template
-            # cache: the first worker to compile a template persists it
-            # for its siblings (and for every later run against the same
-            # directory).
-            self.batch = BatchEstimator(
-                config=config,
-                table=table,
-                include_cost=include_cost,
-                persistent_cache=compile_cache,
-            )
-
-    def attempt(self, scenarios: Sequence[Scenario]) -> RecordBlock:
-        """Records of one group, evaluated in one go."""
-        if self.scalar is not None:
-            return RecordBlock(map(self.scalar.evaluate, scenarios))
-        template = self.batch.compile_for(scenarios[0])
-        return self.batch.evaluate_group(template, scenarios)
-
-    def evaluate(self, scenario: Scenario) -> Record:
-        """The record of one scenario."""
-        if self.scalar is not None:
-            return self.scalar.evaluate(scenario)
-        return self.batch.evaluate_scenario(scenario)
 
 
 #: Worker-process evaluation context, built once per worker by the pool
@@ -539,8 +417,6 @@ class SweepSummary:
         best: Record with the lowest ``total_carbon_g`` (``None`` when the
             spec was empty).
         store_path: Where records were streamed (``None`` without a store).
-        cache_stats: Kernel-cache counters (serial scalar runs only; workers
-            keep their own counters and the batch backend has no kernels).
         skipped_count: Scenarios skipped because a resume store already
             contained their ids.
         backend: Evaluation backend the run used.
@@ -559,9 +435,8 @@ class SweepSummary:
     jobs: int
     best: Optional[Record]
     store_path: Optional[str] = None
-    cache_stats: Optional[KernelCacheStats] = None
     skipped_count: int = 0
-    backend: str = "scalar"
+    backend: str = "batch"
     cached: bool = False
     error_count: int = 0
     retry_count: int = 0
@@ -593,13 +468,13 @@ class SweepEngine:
             chunks of whole template groups on the batch backend.
         config: Estimator configuration shared by all scenarios (scenario
             ``fab_source`` overrides the energy sources per scenario).
-        backend: ``"scalar"`` (default) evaluates every scenario through the
-            full :class:`EcoChip` pipeline (with memoised kernels); it is
-            the reference the batch backend is checked against.
-            ``"batch"`` groups scenarios by compiled template
-            (:mod:`repro.fastpath`) and evaluates each group as flat
-            arithmetic: bit-identical records, an order of magnitude
-            faster on repetitive grids.
+        backend: ``"batch"`` (default) groups scenarios by compiled
+            template (:mod:`repro.fastpath`) and evaluates each group as
+            flat arithmetic.  ``"scalar"`` is the reference oracle the
+            batch backend is checked against: plain
+            :meth:`EcoChip.estimate`, :class:`~repro.cost.model.ChipletCostModel`
+            and :func:`make_record` per scenario, bit-identical records at
+            an order of magnitude lower throughput.
         include_cost: Add ``cost_usd`` (the Chiplet-Actuary-style dollar
             cost) to every record.
         mp_context: Multiprocessing start method for worker pools
@@ -645,7 +520,7 @@ class SweepEngine:
         self,
         jobs: int = 1,
         config: Optional[EstimatorConfig] = None,
-        backend: str = "scalar",
+        backend: str = "batch",
         include_cost: bool = True,
         mp_context: Optional[str] = None,
         table: Optional[TechnologyTable] = None,
@@ -709,8 +584,6 @@ class SweepEngine:
         self.compile_cache = compile_cache
         self.resilience = resilience
         self.chaos = chaos
-        #: Kernel-cache stats of the last serial scalar run (else None).
-        self.last_cache_stats: Optional[KernelCacheStats] = None
         #: Per-scenario retry attempts observed by the last iter_records.
         self.last_retry_count: int = 0
 
@@ -870,7 +743,6 @@ class SweepEngine:
         is not (scenario orders that interleave templates) is split into
         blocks of one record, so records never leave scenario order.
         """
-        self.last_cache_stats = None
         self.last_retry_count = 0
         if not scenarios:
             return
@@ -881,8 +753,6 @@ class SweepEngine:
                 self.backend, self.config, self.include_cost, self.table,
                 policy, self.chaos, self.compile_cache, self.batch_estimator,
             )
-            if evaluator.scalar is not None:
-                self.last_cache_stats = evaluator.scalar.stats
             results: Iterable[ChunkResult] = (
                 _evaluate_groups([group], evaluator)
                 for chunk in chunks
@@ -988,7 +858,6 @@ class SweepEngine:
             jobs=self.jobs,
             best=best,
             store_path=str(store.path) if store is not None else None,
-            cache_stats=self.last_cache_stats,
             skipped_count=skipped,
             backend=self.backend,
             error_count=error_count,
@@ -996,84 +865,3 @@ class SweepEngine:
             error_codes=tuple(sorted(error_codes.items())),
         )
 
-
-# ---------------------------------------------------------------------------
-# System-level fan-out for DesignSpaceExplorer.evaluate_many
-# ---------------------------------------------------------------------------
-class _SystemEvaluator:
-    """Per-process evaluator for pre-built :class:`ChipletSystem` objects."""
-
-    def __init__(
-        self,
-        config: Optional[EstimatorConfig],
-        table: Optional[TechnologyTable],
-        include_cost: bool,
-    ):
-        from repro.core.explorer import DesignPoint  # deferred: explorer imports us lazily
-        from repro.cost.model import ChipletCostModel
-
-        self._point_cls = DesignPoint
-        self.estimator = EcoChip(config=config, table=table)
-        install_kernel_cache(self.estimator)
-        self.cost_model = (
-            ChipletCostModel(table=self.estimator.table) if include_cost else None
-        )
-
-    def evaluate(self, system: ChipletSystem):
-        carbon = self.estimator.estimate(system)
-        cost = self.cost_model.estimate(system) if self.cost_model is not None else None
-        return self._point_cls(system=system, carbon=carbon, cost=cost)
-
-
-_SYSTEM_EVALUATOR: Optional[_SystemEvaluator] = None
-
-
-def _init_system_worker(
-    config: Optional[EstimatorConfig],
-    table: Optional[TechnologyTable],
-    include_cost: bool,
-    plugins: PluginModules = (),
-) -> None:
-    global _SYSTEM_EVALUATOR
-    import_plugin_modules(plugins)
-    _SYSTEM_EVALUATOR = _SystemEvaluator(config, table, include_cost)
-
-
-def _evaluate_system_chunk(systems: Sequence[ChipletSystem]) -> List[Any]:
-    assert _SYSTEM_EVALUATOR is not None, "worker initializer did not run"
-    return [_SYSTEM_EVALUATOR.evaluate(system) for system in systems]
-
-
-def evaluate_systems(
-    systems: Sequence[ChipletSystem],
-    config: Optional[EstimatorConfig] = None,
-    table: Optional[TechnologyTable] = None,
-    include_cost: bool = False,
-    jobs: int = 1,
-) -> List[Any]:
-    """Evaluate many systems into ``DesignPoint``s, optionally in parallel.
-
-    This is the backend of
-    :meth:`repro.core.explorer.DesignSpaceExplorer.evaluate_many`; results
-    are returned in input order for any ``jobs`` value.  Kernels are
-    memoised per process, and ``jobs>1`` shards the systems into about
-    ``8 x jobs`` chunks of at most 256.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    systems = list(systems)
-    if not systems:
-        return []
-    if jobs == 1:
-        evaluator = _SystemEvaluator(config, table, include_cost)
-        return [evaluator.evaluate(system) for system in systems]
-    chunks = shard(systems, max(1, min(256, -(-len(systems) // (jobs * 8)))))
-    points: List[Any] = []
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(chunks)),
-        initializer=_init_system_worker,
-        initargs=(config, table, include_cost, plugin_modules()),
-    ) as pool:
-        for chunk_points in pool.map(_evaluate_system_chunk, chunks):
-            points.extend(chunk_points)
-    return points

@@ -38,7 +38,7 @@ def baseline_records() -> Tuple[Dict, ...]:
     """Fault-free records of the chaos grid (serial scalar reference)."""
     from repro.api import Session
 
-    result = Session().sweep(CHAOS_SPEC)
+    result = Session(backend="scalar").sweep(CHAOS_SPEC)
     return tuple(dict(record) for record in result.records)
 
 
@@ -49,5 +49,5 @@ def baseline_bytes() -> bytes:
 
     with tempfile.TemporaryDirectory(prefix="chaos-baseline-") as tmp:
         path = Path(tmp) / "baseline.jsonl"
-        Session().sweep(CHAOS_SPEC, out=path, collect_records=False)
+        Session(backend="scalar").sweep(CHAOS_SPEC, out=path, collect_records=False)
         return path.read_bytes()

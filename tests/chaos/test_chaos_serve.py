@@ -55,7 +55,9 @@ class TestServePartialParity:
         # Reference: a plain serial *scalar* resilient sweep with the same
         # injected faults.
         reference = tmp_path / "reference.jsonl"
-        Session(resilience=CONTAIN, chaos=ChaosPlan(faults=FAULTS)).sweep(
+        Session(
+            backend="scalar", resilience=CONTAIN, chaos=ChaosPlan(faults=FAULTS)
+        ).sweep(
             CHAOS_SPEC, out=reference, collect_records=False
         )
 
@@ -102,7 +104,7 @@ class TestShutdownEscalation:
     def test_expired_grace_interrupts_and_resumes_byte_identical(self, tmp_path):
         # Uninterrupted reference of the slow spec.
         reference = tmp_path / "reference.jsonl"
-        Session().sweep(SLOW_SPEC, out=reference, collect_records=False)
+        Session(backend="scalar").sweep(SLOW_SPEC, out=reference, collect_records=False)
 
         manager = JobManager(tmp_path / "jobs", workers=1, backend="scalar")
         manager.start()

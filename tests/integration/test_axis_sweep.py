@@ -132,7 +132,7 @@ class TestOutOfTreeAxis:
 
     def test_scalar_batch_and_parallel_bit_identical(self, custom_axis):
         scenarios = self._spec().expand()
-        serial = list(SweepEngine(jobs=1).iter_records(scenarios))
+        serial = list(SweepEngine(jobs=1, backend="scalar").iter_records(scenarios))
         batch = list(SweepEngine(jobs=1, backend="batch").iter_records(scenarios))
         assert batch == serial
         parallel = list(
@@ -146,7 +146,7 @@ class TestOutOfTreeAxis:
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
         scenarios = self._spec().expand()
-        serial = list(SweepEngine(jobs=1).iter_records(scenarios))
+        serial = list(SweepEngine(jobs=1, backend="scalar").iter_records(scenarios))
         spawned = list(
             SweepEngine(jobs=2, mp_context="spawn").iter_records(scenarios)
         )

@@ -28,7 +28,9 @@ from repro.sweep.store import (
 
 
 def _scalar_records(scenarios, **engine_kwargs):
-    return list(SweepEngine(jobs=1, **engine_kwargs).iter_records(scenarios))
+    return list(
+        SweepEngine(jobs=1, backend="scalar", **engine_kwargs).iter_records(scenarios)
+    )
 
 
 def _batch_records(scenarios, **engine_kwargs):
@@ -217,7 +219,7 @@ class TestResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         full = tmp_path / "full.jsonl"
         with JsonlResultStore(full) as store:
-            SweepEngine(jobs=1).run(scenarios, store=store)
+            SweepEngine(jobs=1, backend="scalar").run(scenarios, store=store)
         part = tmp_path / "part.jsonl"
         engine = SweepEngine(jobs=1, backend="batch")
         with JsonlResultStore(part) as store:
@@ -240,7 +242,7 @@ class TestResume:
         path = tmp_path / "resume.jsonl"
         scenarios = SweepSpec.preset("ga102-quick").expand()
         with JsonlResultStore(path) as store:
-            SweepEngine(jobs=1).run(scenarios[:6], store=store)
+            SweepEngine(jobs=1, backend="scalar").run(scenarios[:6], store=store)
         code = main(
             ["sweep", "--preset", "ga102-quick", "--backend", "batch",
              "--resume", str(path), "--quiet"]
@@ -310,7 +312,7 @@ class TestResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         path = tmp_path / "crashed.jsonl"
         with JsonlResultStore(path) as store:
-            SweepEngine(jobs=1).run(scenarios[:3], store=store)
+            SweepEngine(jobs=1, backend="scalar").run(scenarios[:3], store=store)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"scenario": 3, "tot')
         code = main(
@@ -349,7 +351,7 @@ class TestResume:
         # best/top/pareto of a resumed run must fold in the records already
         # on disk, not just the newly evaluated tail.
         scenarios = SweepSpec.preset("ga102-quick").expand()
-        full = SweepEngine(jobs=1).run(scenarios)
+        full = SweepEngine(jobs=1, backend="scalar").run(scenarios)
         assert full.best is not None
         best_id = full.best["scenario"]
         # store exactly the scenarios containing the global best
@@ -366,7 +368,7 @@ class TestResume:
         # CLI path: the printed best line names the stored best scenario
         path_cli = tmp_path / "partial_cli.jsonl"
         with JsonlResultStore(path_cli) as store:
-            SweepEngine(jobs=1).run(stored, store=store)
+            SweepEngine(jobs=1, backend="scalar").run(stored, store=store)
         code = main(
             ["sweep", "--preset", "ga102-quick", "--backend", "batch",
              "--resume", str(path_cli)]
@@ -446,7 +448,7 @@ class TestCsvResume:
         scenarios = SweepSpec.preset("ga102-quick").expand()
         full = tmp_path / "full.csv"
         with CsvResultStore(full) as store:
-            SweepEngine(jobs=1).run(scenarios, store=store)
+            SweepEngine(jobs=1, backend="scalar").run(scenarios, store=store)
         part = tmp_path / "part.csv"
         engine = SweepEngine(jobs=1, backend="batch")
         with CsvResultStore(part) as store:
@@ -564,10 +566,20 @@ class TestCostRoundTrip:
 class TestSummaryMetadata:
     def test_summary_reports_backend(self):
         scenarios = SweepSpec.preset("ga102-quick").expand()
-        assert SweepEngine(jobs=1).run(scenarios).backend == "scalar"
+        assert SweepEngine(jobs=1).run(scenarios).backend == "batch"
         assert (
-            SweepEngine(jobs=1, backend="batch").run(scenarios).backend == "batch"
+            SweepEngine(jobs=1, backend="scalar").run(scenarios).backend == "scalar"
         )
+
+    def test_default_cli_sweep_is_byte_identical_to_the_oracle(self, tmp_path, capsys):
+        default = tmp_path / "default.jsonl"
+        oracle = tmp_path / "oracle.jsonl"
+        sweep = ["sweep", "--preset", "ga102-quick", "--quiet", "--out"]
+        assert main([*sweep, str(default)]) == 0
+        assert "backend=batch" in capsys.readouterr().out
+        assert main([*sweep, str(oracle), "--backend", "scalar"]) == 0
+        assert "backend=scalar" in capsys.readouterr().out
+        assert default.read_bytes() == oracle.read_bytes()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import repro.sweep.engine as engine_module
 from repro.fastpath import group_scenarios
 from repro.fastpath.batch import BatchEstimator
 from repro.resilience import ResiliencePolicy, error_info, is_error_record
-from repro.sweep.engine import SweepEngine, _ScenarioEvaluator
+from repro.sweep.engine import SweepEngine, _GroupEvaluator
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import JsonlResultStore, load_records
 
@@ -49,25 +49,25 @@ def _fault(scenarios) -> None:
 @pytest.fixture()
 def broken_kernels(monkeypatch):
     """Make both backends' group kernels raise for the BROKEN scenario."""
-    scalar_evaluate = _ScenarioEvaluator.evaluate
+    oracle_record = _GroupEvaluator.oracle_record
     batch_evaluate_group = BatchEstimator.evaluate_group
 
     def evaluate(self, scenario):
         _fault([scenario])
-        return scalar_evaluate(self, scenario)
+        return oracle_record(self, scenario)
 
     def evaluate_group(self, template, scenarios):
         _fault(scenarios)
         return batch_evaluate_group(self, template, scenarios)
 
-    monkeypatch.setattr(_ScenarioEvaluator, "evaluate", evaluate)
+    monkeypatch.setattr(_GroupEvaluator, "oracle_record", evaluate)
     monkeypatch.setattr(BatchEstimator, "evaluate_group", evaluate_group)
 
 
 @pytest.fixture(scope="module")
 def reference():
     """Fault-free records (module scope: built before any kernel breaks)."""
-    return list(SweepEngine().iter_records(SCENARIOS))
+    return list(SweepEngine(backend="scalar").iter_records(SCENARIOS))
 
 
 @pytest.fixture()

@@ -56,13 +56,13 @@ class TestPluginParallelSweep:
         assert recorded["custom_packaging_example"] == custom_packaging.__file__
 
     def test_scalar_backend_jobs4_bit_identical(self, plugin_scenarios):
-        serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
-        parallel = list(SweepEngine(jobs=4).iter_records(plugin_scenarios))
+        serial = list(SweepEngine(jobs=1, backend="scalar").iter_records(plugin_scenarios))
+        parallel = list(SweepEngine(jobs=4, backend="scalar").iter_records(plugin_scenarios))
         assert parallel == serial
         assert any(r["packaging"] == "organic_bridge" for r in serial)
 
     def test_batch_backend_jobs4_bit_identical(self, plugin_scenarios):
-        serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
+        serial = list(SweepEngine(jobs=1, backend="scalar").iter_records(plugin_scenarios))
         parallel = list(
             SweepEngine(jobs=4, backend="batch").iter_records(plugin_scenarios)
         )
@@ -80,6 +80,22 @@ class TestPluginParallelSweep:
             '{"substrate_layers": 7}',
         }
 
+    def test_explorer_evaluate_many_jobs2(self, custom_packaging):
+        # DesignSpaceExplorer.evaluate_many's own pool evaluates plugin
+        # packagings in its workers.
+        from repro.core.explorer import DesignSpaceExplorer
+        from repro.testcases import get_testcase
+
+        base = get_testcase("emr-2chiplet")
+        systems = [
+            base.with_packaging(custom_packaging.OrganicBridgeSpec(substrate_layers=n))
+            for n in (3, 5, 7)
+        ]
+        explorer = DesignSpaceExplorer(include_cost=True)
+        serial = explorer.evaluate_many(systems, jobs=1)
+        assert explorer.evaluate_many(systems, jobs=2) == serial
+        assert len({point.carbon.total_cfp_g for point in serial}) == 3
+
 
 @pytest.mark.skipif(
     "spawn" not in multiprocessing.get_all_start_methods(),
@@ -94,9 +110,9 @@ class TestPluginSpawnWorkers:
     """
 
     def test_scalar_backend_spawn_jobs4(self, plugin_scenarios):
-        serial = list(SweepEngine(jobs=1).iter_records(plugin_scenarios))
+        serial = list(SweepEngine(jobs=1, backend="scalar").iter_records(plugin_scenarios))
         parallel = list(
-            SweepEngine(jobs=4, mp_context="spawn").iter_records(
+            SweepEngine(jobs=4, backend="scalar", mp_context="spawn").iter_records(
                 plugin_scenarios
             )
         )

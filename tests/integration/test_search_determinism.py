@@ -43,10 +43,10 @@ def run_to_store(tmp_path: Path, tag: str, **engine_kwargs) -> bytes:
 
 class TestBitIdenticalStores:
     def test_backends_and_jobs_counts_agree(self, tmp_path):
-        reference = run_to_store(tmp_path, "scalar-1")
+        reference = run_to_store(tmp_path, "scalar-1", backend="scalar")
         assert load_records(tmp_path / "scalar-1.jsonl")
         assert run_to_store(tmp_path, "batch-1", backend="batch") == reference
-        assert run_to_store(tmp_path, "scalar-4", jobs=4) == reference
+        assert run_to_store(tmp_path, "scalar-4", backend="scalar", jobs=4) == reference
         assert (
             run_to_store(tmp_path, "batch-4", backend="batch", jobs=4) == reference
         )
@@ -67,7 +67,7 @@ class TestBitIdenticalStores:
             )
             first = tmp_path / f"{strategy}-a.jsonl"
             second = tmp_path / f"{strategy}-b.jsonl"
-            run_search(spec, SweepEngine(), out=first)
+            run_search(spec, SweepEngine(backend="scalar"), out=first)
             run_search(spec, SweepEngine(backend="batch"), out=second)
             assert first.read_bytes() == second.read_bytes(), strategy
 
@@ -96,7 +96,9 @@ class TestKilledProcessResume:
 
         # Uninterrupted reference store, in-process.
         reference = tmp_path / "reference.jsonl"
-        run_search(SearchSpec.from_file(spec_path), SweepEngine(), out=reference)
+        run_search(
+            SearchSpec.from_file(spec_path), SweepEngine(backend="scalar"), out=reference
+        )
 
         # Start the CLI, SIGKILL it as soon as rows appear on disk.
         victim = tmp_path / "victim.jsonl"

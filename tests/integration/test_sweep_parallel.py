@@ -29,7 +29,7 @@ class TestParallelEngine:
 
     def test_parallel_records_are_bit_identical_to_serial(self):
         scenarios = GRID.expand()[:96]  # enough to span several chunks
-        serial = list(SweepEngine(jobs=1).iter_records(scenarios))
+        serial = list(SweepEngine(jobs=1, backend="scalar").iter_records(scenarios))
         parallel = list(SweepEngine(jobs=4).iter_records(scenarios))
         assert parallel == serial
         assert sum(r["total_carbon_g"] for r in parallel) == sum(
@@ -77,7 +77,10 @@ class TestSweepCli:
         assert "640 scenarios" in stdout
         assert "results written to" in stdout
         # CLI totals match an in-process serial engine run bit-for-bit.
-        serial_total = sum(r["total_carbon_g"] for r in SweepEngine(jobs=1).iter_records(GRID))
+        serial_total = sum(
+            r["total_carbon_g"]
+            for r in SweepEngine(jobs=1, backend="scalar").iter_records(GRID)
+        )
         assert sum(r["total_carbon_g"] for r in records) == serial_total
 
     def test_spec_file_csv_output(self, tmp_path, capsys):

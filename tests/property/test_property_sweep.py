@@ -111,7 +111,7 @@ class TestBackendParity:
     def test_scalar_and_batch_records_are_bit_identical(self, spec):
         scenarios = spec.expand()
         assert len(scenarios) == spec.count()
-        scalar = list(SweepEngine(jobs=1).iter_records(scenarios))
+        scalar = list(SweepEngine(jobs=1, backend="scalar").iter_records(scenarios))
         batch = list(SweepEngine(jobs=1, backend="batch").iter_records(scenarios))
         assert scalar == batch
 

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import EcoChip, EstimatorConfig, Session
 from repro.api import ExploreResult, SweepResult
 from repro.sweep.store import load_records
@@ -115,6 +122,15 @@ class TestSweep:
         )
         assert result.spec.name == "session-grid"
 
+    def test_default_backend_is_batch_and_matches_the_oracle(self):
+        session = Session()
+        assert session.backend == "batch"
+        default = session.sweep(SMALL_SPEC)
+        oracle = Session(backend="scalar").sweep(SMALL_SPEC)
+        assert default.summary.backend == "batch"
+        assert oracle.summary.backend == "scalar"
+        assert default.records == oracle.records
+
     def test_collect_records_false_streams_only(self, tmp_path):
         out = tmp_path / "r.jsonl"
         result = Session().sweep(SMALL_SPEC, out=out, collect_records=False)
@@ -172,7 +188,7 @@ class TestCustomTable:
         )
         spec = {"testcases": ["emr-2chiplet"]}
         expected = Session(table=custom).estimate("emr-2chiplet").total_cfp_g
-        scalar = Session(table=custom).sweep(spec).best["total_carbon_g"]
+        scalar = Session(table=custom, backend="scalar").sweep(spec).best["total_carbon_g"]
         batch = Session(table=custom, backend="batch").sweep(spec).best[
             "total_carbon_g"
         ]
@@ -207,6 +223,31 @@ class TestExplore:
         assert result.best.objective("total_carbon_g") == min(
             p.objective("total_carbon_g") for p in result.points
         )
+
+    def test_unguarded_script_explores_with_worker_processes(self, tmp_path):
+        # The README's top-level example as a script without an
+        # ``if __name__ == "__main__"`` guard: a sweep and an explore with
+        # jobs > 1.  The explore pool must not re-run the script in its
+        # workers, and its points must equal the serial ones.
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            from repro import Session
+
+            print("script body ran")
+            session = Session(jobs=2)
+            session.sweep({"testcases": ["emr-2chiplet"], "nodes": [7, 14]})
+            kwargs = dict(packaging=["rdl_fanout", "silicon_bridge"])
+            parallel = session.explore("emr-2chiplet", [7, 14], **kwargs)
+            serial = Session().explore("emr-2chiplet", [7, 14], **kwargs)
+            print(len(parallel.points), parallel.points == serial.points)
+        """))
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["script body ran", "8 True"]
 
 
 class _TiedPoint:

@@ -1,6 +1,6 @@
-"""The CLI error contract: every rejected ``sweep``/``search``/``serve``
-invocation exits 2 (``[invalid-spec]``) or 3 (``[runtime]``) with one exact
-stderr line and no traceback."""
+"""The CLI error contract: every rejected ``sweep``/``search``/``serve`` or
+single-estimate invocation exits 2 (``[invalid-spec]``) or 3
+(``[runtime]``) with one exact stderr line and no traceback."""
 
 from __future__ import annotations
 
@@ -51,6 +51,12 @@ NODE_INF = (
     "register it explicitly"
 )
 NODE_NEG_INF = "error: [invalid-spec] technology node must be positive, got -inf"
+UNKNOWN_TESTCASE = (
+    "error: [invalid-spec] \"unknown testcase 'no-such-testcase'; known testcases: "
+    "['a15-3chiplet', 'a15-monolithic', 'arvr-3d-1k-2mb', 'arvr-3d-1k-8mb', "
+    "'arvr-3d-2k-16mb', 'emr-2chiplet', 'emr-monolithic', 'ga102-3chiplet', "
+    "'ga102-4chiplet', 'ga102-monolithic']\""
+)
 
 QUICK = ["--preset", "ga102-quick"]
 SPACE = ["--space-preset", "ga102-quick"]
@@ -107,7 +113,8 @@ CASES = [
     # -- search
     (["search", *SPACE, "--jobs", "0"], 2,
      "error: [invalid-spec] --jobs must be >= 1, got 0"),
-    (["search", *SPACE, "--compile-cache", "{tmp}/cc"], 2, COMPILE_CACHE_SCALAR),
+    (["search", *SPACE, "--compile-cache", "{tmp}/cc", "--backend", "scalar"], 2,
+     COMPILE_CACHE_SCALAR),
     (["search", "--space-preset", "warp"], 2, UNKNOWN_PRESET),
     (["search", "--spec", "{tmp}/search_nodes_nan.json"], 2, NODE_NAN),
     (["search", "--spec", "{tmp}/search_nodes_inf.json"], 2, NODE_INF),
@@ -144,6 +151,13 @@ CASES = [
     (["serve", "--port", "{port}", "--store-dir", "{tmp}/jobs"], 3,
      "error: [runtime] cannot serve on 127.0.0.1:{port}: [Errno 98] Address "
      "already in use"),
+    # -- single estimate
+    (["--testcase", "no-such-testcase"], 2, UNKNOWN_TESTCASE),
+    (["--design-dir", "{tmp}/ghost"], 2,
+     "error: [invalid-spec] design directory {tmp}/ghost does not exist"),
+    (["--testcase", "a15-monolithic", "--output", "{tmp}"], 3,
+     "error: [runtime] cannot write report to {tmp}: [Errno 21] Is a directory: "
+     "'{tmp}'"),
 ]
 
 

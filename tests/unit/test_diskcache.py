@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import pickle
 
 import pytest
@@ -135,23 +136,33 @@ class TestPersistentCompilerSeam:
         assert records_first == baseline
         assert records_second == baseline
 
-    def test_compiler_floorplans_persist_too(self, tmp_path):
+    def test_cold_compile_persists_templates_only(self, tmp_path):
+        # One entry per compiled template and none for floorplans: an
+        # outline recomputes faster than a disk probe.
         cache = DiskCompileCache(tmp_path / "cc")
         first = TemplateCompiler(persistent_cache=cache)
-        first.compile("testcase", "ga102-3chiplet", (7.0, 7.0, 7.0), None)
-        assert cache.writes > 0
+        for packaging in (None, {"type": "rdl_fanout"}, {"type": "silicon_bridge"}):
+            first.compile("testcase", "ga102-3chiplet", (7.0, 7.0, 7.0), packaging)
+        assert first.compiles == 3
+        tokens = [
+            pickle.loads(path.read_bytes())["token"]
+            for path in (tmp_path / "cc").glob("*/*.pkl")
+        ]
+        assert len(tokens) == cache.writes == first.compiles
+        assert [ast.literal_eval(token)[2] for token in tokens] == ["template"] * 3
 
         probe = DiskCompileCache(tmp_path / "cc")
         second = TemplateCompiler(persistent_cache=probe)
         second.compile("testcase", "ga102-3chiplet", (7.0, 7.0, 7.0), None)
         assert second.compiles == 0
-        assert probe.hits > 0
+        assert (probe.hits, probe.misses) == (1, 0)
 
-    def test_outline_entry_on_disk_is_not_reused_for_a_bridge(self, tmp_path):
-        # The first compiler leaves an outline-only floorplan on disk.  The
-        # second (cost-free: its templates miss, floorplans are shared)
-        # loads it for rdl_fanout, then needs the same areas with
-        # adjacencies for silicon_bridge and must floorplan them in full.
+    def test_bridge_after_outline_gets_full_floorplan_without_disk_floorplans(self, tmp_path):
+        # The first compiler persists an rdl_fanout template, whose
+        # floorplan is outline-only.  The second (cost-free: its templates
+        # miss) finds no floorplan on disk, outlines the areas for
+        # rdl_fanout in memory, then needs the same areas with adjacencies
+        # for silicon_bridge and must floorplan them in full.
         cache_dir = tmp_path / "cc"
         TemplateCompiler(persistent_cache=cache_dir).compile(
             "testcase", "ga102-3chiplet", None, {"type": "rdl_fanout"}
@@ -159,7 +170,7 @@ class TestPersistentCompilerSeam:
         probe = DiskCompileCache(cache_dir)
         second = TemplateCompiler(include_cost=False, persistent_cache=probe)
         second.compile("testcase", "ga102-3chiplet", None, {"type": "rdl_fanout"})
-        assert second.compiles == 1 and probe.hits == 1  # the outline entry
+        assert second.compiles == 1 and probe.hits == 0
         [(outline, full)] = second._floorplans.values()
         assert not full and outline.placements == ()
 
@@ -168,6 +179,7 @@ class TestPersistentCompilerSeam:
         )
         [(floorplan, full)] = second._floorplans.values()
         assert full and floorplan.adjacencies
+        assert probe.hits == 0
         reference = TemplateCompiler(include_cost=False).compile(
             "testcase", "ga102-3chiplet", None, {"type": "silicon_bridge"}
         )

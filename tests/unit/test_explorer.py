@@ -76,6 +76,27 @@ class TestExploration:
             explorer.explore(base_system, node_choices=[7], packaging_choices=[])
 
 
+class TestEvaluateMany:
+    def test_serial_is_evaluate_in_input_order(self, explorer, points):
+        systems = [point.system for point in reversed(points)]
+        assert explorer.evaluate_many(systems) == [
+            explorer.evaluate(system) for system in systems
+        ]
+
+    def test_jobs_must_be_positive(self, explorer, base_system):
+        with pytest.raises(ValueError, match="jobs"):
+            explorer.evaluate_many([base_system], jobs=0)
+
+    def test_no_systems_start_no_pool(self, explorer, monkeypatch):
+        import repro.core.explorer as explorer_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_many started a pool for nothing")
+
+        monkeypatch.setattr(explorer_module, "ProcessPoolExecutor", refuse)
+        assert explorer.evaluate_many([], jobs=4) == []
+
+
 class TestSelection:
     def test_best_minimises_the_objective(self, explorer, points):
         best = explorer.best(points, objective="total_carbon_g")

@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import (
+    build_search_parser,
+    build_serve_parser,
+    build_sweep_parser,
+    main,
+)
 from repro.io.loaders import load_design_directory, load_system_from_dict
 from repro.io.writers import report_to_json, write_report
 from repro.packaging.bridge import SiliconBridgeSpec
@@ -136,6 +141,15 @@ class TestWriters:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "build", [build_sweep_parser, build_search_parser, build_serve_parser]
+    )
+    def test_backend_flag_defaults_to_batch(self, build):
+        # sweep, search and serve share one --backend flag; batch is the
+        # default of all three, scalar stays selectable as the oracle.
+        assert build().parse_args([]).backend == "batch"
+        assert build().parse_args(["--backend", "scalar"]).backend == "scalar"
+
     def test_list_testcases(self, capsys):
         assert main(["--list-testcases"]) == 0
         out = capsys.readouterr().out
@@ -202,7 +216,7 @@ class TestCliErrorPaths:
     def test_output_write_failure_returns_error_code(self, tmp_path, capsys):
         # Pointing --output at an existing directory makes the write fail.
         code = main(["--testcase", "a15-monolithic", "--output", str(tmp_path)])
-        assert code == 2
+        assert code == 3
         assert "cannot write report" in capsys.readouterr().err
 
     def test_output_into_readonly_directory(self, tmp_path, capsys):
@@ -217,7 +231,7 @@ class TestCliErrorPaths:
             target.chmod(0o700)
         if code == 0:  # pragma: no cover - running as root bypasses permissions
             pytest.skip("filesystem permissions not enforced (running as root)")
-        assert code == 2
+        assert code == 3
 
     def test_unknown_testcase_lists_alternatives(self, capsys):
         assert main(["--testcase", "not-a-chip"]) == 2

@@ -353,6 +353,14 @@ class TestRunner:
         with pytest.raises(ValueError, match="resume"):
             run_search(small_spec(), SweepEngine(), resume=True)
 
+    def test_default_engine_searches_on_batch_like_the_oracle(self):
+        default = run_search(small_spec(), SweepEngine())
+        oracle = run_search(small_spec(), SweepEngine(backend="scalar"))
+        assert (default.backend, oracle.backend) == ("batch", "scalar")
+        assert default.best == oracle.best
+        assert default.front == oracle.front
+        assert default.evaluations == oracle.evaluations
+
     def test_progress_callback_sees_monotone_counts(self):
         seen = []
         run_search(

@@ -1,4 +1,4 @@
-"""Unit tests for repro.sweep.engine (serial path, memoisation, sharding)."""
+"""Unit tests for repro.sweep.engine (serial path, the scalar oracle, sharding)."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ import pytest
 
 from repro.core.estimator import EcoChip, EstimatorConfig
 from repro.sweep.engine import (
-    KernelCacheStats,
     SweepEngine,
     derive_scenario_config,
-    install_kernel_cache,
     make_record,
     shard,
 )
@@ -20,103 +18,45 @@ from repro.testcases import ga102
 QUICK = SweepSpec.preset("ga102-quick")
 
 
-class TestKernelCache:
-    def test_cached_results_are_bit_identical(self, ga102_3chiplet):
-        plain = EcoChip().estimate(ga102_3chiplet)
-        cached_estimator = EcoChip()
-        install_kernel_cache(cached_estimator)
-        first = cached_estimator.estimate(ga102_3chiplet)
-        second = cached_estimator.estimate(ga102_3chiplet)
-        assert first == plain
-        assert second == plain
+def _assert_plain_pipeline(engine, scenarios):
+    """Every record equals EcoChip.estimate + ChipletCostModel + make_record."""
+    from repro.cost.model import ChipletCostModel
 
-    def test_repeated_estimates_hit_the_cache(self, ga102_3chiplet):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.estimate(ga102_3chiplet)
-        misses = stats.misses
-        assert misses > 0 and stats.hits == 0
-        estimator.estimate(ga102_3chiplet)
-        assert stats.misses == misses  # nothing new to compute
-        assert stats.hits > 0
-
-    def test_shared_kernels_across_node_configs(self):
-        # Two configs that share the analog chiplet's node: its kernels are
-        # computed once.
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.estimate(ga102.three_chiplet((7, 14, 10)))
-        estimator.estimate(ga102.three_chiplet((7, 14, 14)))
-        assert stats.hits > 0
-
-    def test_install_is_idempotent(self):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        assert install_kernel_cache(estimator) is stats
-
-    def test_cache_respects_name_argument(self):
-        estimator = EcoChip()
-        install_kernel_cache(estimator)
-        a = estimator.manufacturing.cfp_for_area(100.0, 7, "logic", name="alpha")
-        b = estimator.manufacturing.cfp_for_area(100.0, 7, "logic", name="beta")
-        assert a.name == "alpha" and b.name == "beta"
-        assert a.total_g == b.total_g
-
-
-class TestKernelCacheStatsAccounting:
-    """Exact hit/miss bookkeeping of the memoised kernels."""
-
-    def test_first_estimate_counts_one_miss_per_distinct_kernel_input(self, ga102_3chiplet):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.estimate(ga102_3chiplet)
-        # Three chiplets with distinct (area, node, type) and distinct
-        # (transistors, node) keys: one manufacturing and one design miss
-        # each, and no hits yet.
-        assert stats.manufacturing_misses == 3
-        assert stats.design_misses == 3
-        assert stats.manufacturing_hits == 0
-        assert stats.design_hits == 0
-
-    def test_repeat_estimate_counts_one_hit_per_kernel_call(self, ga102_3chiplet):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.estimate(ga102_3chiplet)
-        estimator.estimate(ga102_3chiplet)
-        assert stats.manufacturing_hits == 3
-        assert stats.design_hits == 3
-        assert stats.manufacturing_misses == 3
-        assert stats.design_misses == 3
-
-    def test_totals_sum_both_kernels(self):
-        stats = KernelCacheStats(
-            manufacturing_hits=2,
-            manufacturing_misses=3,
-            design_hits=5,
-            design_misses=7,
+    records = list(engine.iter_records(scenarios))
+    assert len(records) == len(scenarios)
+    for scenario, record in zip(scenarios, records):
+        system = scenario.build_system()
+        config = derive_scenario_config(
+            EstimatorConfig(), scenario.fab_source, scenario.overrides
         )
-        assert stats.hits == 7
-        assert stats.misses == 10
+        plain = make_record(
+            scenario,
+            system,
+            EcoChip(config=config).estimate(system),
+            scenario.fab_source or config.fab_carbon_source.value,
+            cost_usd=ChipletCostModel().estimate(system).total_cost_usd,
+        )
+        assert record == plain
 
-    def test_manufacturing_cache_keyed_on_value_inputs_only(self):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.manufacturing.cfp_for_area(100.0, 7, "logic", name="a")
-        estimator.manufacturing.cfp_for_area(100.0, 7, "logic", name="b")
-        assert (stats.manufacturing_misses, stats.manufacturing_hits) == (1, 1)
-        # a different area is a genuinely new kernel input
-        estimator.manufacturing.cfp_for_area(101.0, 7, "logic")
-        assert (stats.manufacturing_misses, stats.manufacturing_hits) == (2, 1)
 
-    def test_design_cache_distinguishes_volume_and_reuse(self):
-        estimator = EcoChip()
-        stats = install_kernel_cache(estimator)
-        estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=10.0)
-        estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=10.0)
-        assert (stats.design_misses, stats.design_hits) == (1, 1)
-        estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=20.0)
-        estimator.design_model.chiplet_design_cfp(1e9, 7, manufactured_volume=10.0, reused=True)
-        assert (stats.design_misses, stats.design_hits) == (3, 1)
+class TestBackends:
+    def test_engine_defaults_to_batch(self):
+        engine = SweepEngine()
+        assert engine.backend == "batch"
+        assert engine.run(QUICK.expand()[:4]).backend == "batch"
+
+    def test_scalar_oracle_compiles_no_templates(self, monkeypatch):
+        # The scalar backend is the plain estimator pipeline: it must never
+        # reach the compiled fast path, in-process or through the seam.
+        from repro.fastpath.batch import BatchEstimator
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the scalar oracle built a BatchEstimator")
+
+        monkeypatch.setattr(BatchEstimator, "__init__", refuse)
+        scenarios = QUICK.expand()[:6]
+        records = list(SweepEngine(jobs=1, backend="scalar").iter_records(scenarios))
+        assert [r["scenario"] for r in records] == [s.index for s in scenarios]
 
 
 class TestSerialEngine:
@@ -132,32 +72,15 @@ class TestSerialEngine:
         assert store.count == summary.scenario_count
 
     def test_memoisation_does_not_change_results(self):
-        # The engine always memoises its kernels (and the dollar cost); every
-        # record must equal the plain, un-memoised EcoChip.estimate pipeline.
-        from repro.cost.model import ChipletCostModel
+        # The scalar oracle memoises the dollar cost across scenarios that
+        # share (base, nodes, volume); every record must still equal the
+        # plain, un-memoised pipeline.
+        _assert_plain_pipeline(SweepEngine(jobs=1, backend="scalar"), QUICK.expand())
 
-        scenarios = QUICK.expand()
-        memoized = list(SweepEngine(jobs=1).iter_records(scenarios))
-        assert len(memoized) == len(scenarios)
-        for scenario, record in zip(scenarios, memoized):
-            system = scenario.build_system()
-            config = derive_scenario_config(
-                EstimatorConfig(), scenario.fab_source, scenario.overrides
-            )
-            plain = make_record(
-                scenario,
-                system,
-                EcoChip(config=config).estimate(system),
-                scenario.fab_source or config.fab_carbon_source.value,
-                cost_usd=ChipletCostModel().estimate(system).total_cost_usd,
-            )
-            assert record == plain
-
-    def test_serial_cache_stats_are_reported(self):
-        engine = SweepEngine(jobs=1)
-        summary = engine.run(QUICK)
-        assert isinstance(summary.cache_stats, KernelCacheStats)
-        assert summary.cache_stats.hits > 0  # the grid repeats many kernels
+    def test_default_backend_records_equal_the_plain_estimator_pipeline(self):
+        # The default (batch) backend evaluates compiled templates; its
+        # records must equal the same plain pipeline.
+        _assert_plain_pipeline(SweepEngine(jobs=1), QUICK.expand())
 
     def test_records_match_direct_estimation(self):
         scenario = Scenario(
@@ -193,12 +116,6 @@ class TestSerialEngine:
         summary = SweepEngine(jobs=1).run([])
         assert summary.scenario_count == 0
         assert summary.best is None
-
-    def test_empty_run_does_not_report_stale_cache_stats(self):
-        engine = SweepEngine(jobs=1)
-        engine.run(QUICK)  # populates last_cache_stats
-        summary = engine.run([])
-        assert summary.cache_stats is None
 
     def test_record_metric_keys_match_objectives(self):
         from repro.core.explorer import OBJECTIVES
